@@ -223,7 +223,8 @@ def read_recording_csv(path: str | Path) -> Recording:
 
     Raises:
         IoError: If the file is missing.
-        ParseError: Malformed header or row, with its line number.
+        ParseError: Malformed header or row, or a time step that differs
+            from the first by more than 1e-6 of it, with its line number.
         ChannelMismatch: If the channel columns differ from the training set.
     """
     path = Path(path)
@@ -257,6 +258,13 @@ def read_recording_csv(path: str | Path) -> Recording:
     dt = data[1, 0] - data[0, 0]
     if dt <= 0:
         raise ParseError("line 3: time column must be strictly increasing")
+    # Step k runs from data row k to row k + 1, which sits on line k + 3.
+    uneven = np.flatnonzero(np.abs(np.diff(data[:, 0]) - dt) > 1e-6 * dt)
+    if uneven.size:
+        raise ParseError(
+            f"line {uneven[0] + 3}: time step differs from the first step {float(dt)!r}; "
+            "samples must be evenly spaced"
+        )
     sample_rate = 1.0 / dt
     if abs(sample_rate - round(sample_rate)) < 1e-6 * sample_rate:
         sample_rate = float(round(sample_rate))

@@ -185,7 +185,7 @@ def config_from_json(blob: dict) -> RunConfig:
         lambda_type=_expect(mod, "model", "lambda_type", float, 1.0),
         lambda_severity=_expect(mod, "model", "lambda_severity", float, 1.0),
         ablation=_expect(mod, "model", "ablation", str, "full"),
-        severity_to_trunk=bool(mod.get("severity_to_trunk", False)),
+        severity_to_trunk=mod.get("severity_to_trunk", False),
         severity_bins=_expect(mod, "model", "severity_bins", int, 0),
     )
     model_kwargs["seed"] = (

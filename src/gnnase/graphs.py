@@ -87,6 +87,31 @@ def fault_targets(label: FaultSpec) -> NodeTargets:
     return NodeTargets(anomaly=1, severity=label.severity, fault_type=KIND_TO_CLASS[label.kind])
 
 
+def row_cosines(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine of every row pair (a[k], b[k]), clamped into [-1, 1].
+
+    Each row's result depends on that row alone, so a single pair and a
+    batch of pairs give the same bits; graph construction, edge_weight and
+    the model's edge reweighting all compute cosines here.
+
+    Returns:
+        (cosines, undefined): undefined marks pairs where either norm is
+        at most 1e-12; their cosine reads 0.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    undefined = (na <= 1e-12) | (nb <= 1e-12)
+    cos = np.einsum("ij,ij->i", a, b) / np.where(undefined, 1.0, na * nb)
+    return np.where(undefined, 0.0, np.clip(cos, -1.0, 1.0)), undefined
+
+
+def similarity_weight(cos):
+    """Cosine mapped affinely into [0, 1]: w = (1 + c) / 2 (scalar or array)."""
+    return (1.0 + cos) / 2.0
+
+
 def cosine_similarity(x, y) -> float:
     """Inner product over the product of norms, clamped into [-1, 1].
 
@@ -98,16 +123,15 @@ def cosine_similarity(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ShapeMismatch(f"vectors differ in shape: {x.shape} vs {y.shape}")
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx <= 1e-12 or ny <= 1e-12:
+    cos, undefined = row_cosines(x.reshape(1, -1), y.reshape(1, -1))
+    if undefined[0]:
         raise ZeroVector("cosine similarity is undefined for near-zero vectors")
-    return float(np.clip(np.dot(x, y) / (nx * ny), -1.0, 1.0))
+    return float(cos[0])
 
 
 def edge_weight(x, y) -> float:
     """Cosine mapped into [0, 1]: w = (1 + c) / 2."""
-    return (1.0 + cosine_similarity(x, y)) / 2.0
+    return similarity_weight(cosine_similarity(x, y))
 
 
 def build_graph(
@@ -134,6 +158,8 @@ def build_graph(
 
     Raises:
         TooFewWindows: If fewer than two windows are given.
+        ShapeMismatch: If the windows' feature vectors differ in shape.
+        ZeroVector: If a window's feature vector is (near) zero.
     """
     n = len(windows)
     if n < 2:
@@ -141,11 +167,18 @@ def build_graph(
     if k < 0:
         raise InvalidConfigValue(f"k must be >= 0, got {k}")
 
-    # Pairwise cosine once; similarity ordering reuses it for kNN picks.
+    shapes = {np.shape(w.x) for w in windows}
+    if len(shapes) != 1:
+        raise ShapeMismatch(f"windows differ in feature shape: {sorted(shapes)}")
+    # Pairwise cosine once, one row at a time so temporaries stay O(n);
+    # similarity ordering reuses it for kNN picks.
+    X = np.stack([w.x for w in windows])
     cos = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            cos[i, j] = cos[j, i] = cosine_similarity(windows[i].x, windows[j].x)
+    for i in range(n - 1):
+        row, undefined = row_cosines(np.broadcast_to(X[i], X[i + 1 :].shape), X[i + 1 :])
+        if undefined.any():
+            raise ZeroVector("cosine similarity is undefined for near-zero vectors")
+        cos[i, i + 1 :] = cos[i + 1 :, i] = row
 
     pairs: set[tuple[int, int]] = {(i, i + 1) for i in range(n - 1)}
     for i in range(n):
@@ -155,7 +188,7 @@ def build_graph(
         for j in candidates[:k]:
             pairs.add((min(i, j), max(i, j)))
 
-    edges = [(i, j, (1.0 + cos[i, j]) / 2.0) for i, j in sorted(pairs)]
+    edges = [(i, j, similarity_weight(cos[i, j])) for i, j in sorted(pairs)]
     targets = fault_targets(label)
     return SignalGraph(
         nodes=list(windows),

@@ -2,16 +2,28 @@
 
 Architecture: linear embedding -> graph convolution (ReLU) -> dropout ->
 graph convolution (ReLU) -> three heads (anomaly sigmoid, severity
-ReLU-MLP, type softmax). Aggregation normalizes each edge weight by the
+ReLU-MLP, type softmax). Aggregation multiplies by the dense normalized
+adjacency D^-1/2 (A + I) D^-1/2: each edge weight is divided by the
 square root of both endpoints' weighted degrees, with a weight-1 self-loop
 added per node.
+
+One kernel serves every caller. A minibatch of graphs is one
+block-diagonal graph: node features are stacked, one adjacency is built
+over all of the batch's nodes (zero between graphs), and one forward and
+one backward pass cover the batch. Node-level losses are weighted 1/n_g
+and the type loss type_mask/n_anom_g, so the batch loss and gradient are
+exactly the sums of the per-graph ones. Memory is O(N^2) in the N nodes
+of one batch, never in the dataset. The single-graph functions (forward,
+loss_and_grads, loss_value, gcn_layer, reweight_edges) run the same
+kernel on a one-graph block.
 
 Training is plain seeded SGD on a multi-task loss: binary cross-entropy
 for anomaly, mean squared error for severity, cross-entropy over fault
 classes masked to anomalous nodes. After each epoch the edge weights of
 every training graph are blended toward the cosine similarity of the
-first convolution's hidden vectors (dynamic edge reweighting); weights
-are constants as far as the gradients are concerned.
+first convolution's hidden vectors (dynamic edge reweighting), computed
+over all edges of a batch_size block of graphs at once; weights are
+constants as far as the gradients are concerned.
 
 The severity branch reads the trunk output but its loss gradient stops
 there by default: the trunk is trained by the detection losses alone, so
@@ -38,7 +50,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .features import Standardizer, WindowFeatures, WindowSpec, extract_windows, feature_names
-from .graphs import TYPE_CLASSES, SignalGraph, build_graph
+from .graphs import TYPE_CLASSES, SignalGraph, build_graph, row_cosines, similarity_weight
 from .numerics import derive_seed, make_rng
 from .preprocess import FilterSpec, filter_recording
 from .simulate import Recording
@@ -103,6 +115,10 @@ class ModelConfig:
             )
         if self.severity_bins < 0:
             raise InvalidConfigValue(f"severity_bins must be >= 0, got {self.severity_bins}")
+        if not isinstance(self.severity_to_trunk, bool):
+            raise InvalidConfigValue(
+                f"severity_to_trunk must be a boolean, got {self.severity_to_trunk!r}"
+            )
 
     @property
     def severity_out_dim(self) -> int:
@@ -184,38 +200,62 @@ def init_state(feature_dim: int, config: ModelConfig) -> ModelState:
     return ModelState(params=params, feature_dim=feature_dim)
 
 
-def _aggregation(n_nodes: int, edges: list[tuple[int, int, float]]):
-    """Symmetric normalized-adjacency entries (rows, cols, vals).
+@dataclass(frozen=True)
+class _Block:
+    """Several graphs as one block-diagonal graph over their stacked nodes."""
 
-    Includes both directions of every edge and a weight-1 self-loop per
-    node; vals carry w_ij / sqrt(d_i d_j) with weighted degrees that count
-    the self-loop.
+    X: np.ndarray  # (N, feature_dim) node features, graph after graph
+    adj: np.ndarray  # (N, N) normalized adjacency, zero between graphs
+    graph_id: np.ndarray  # (N,) position of each node's graph in the block
+    sizes: np.ndarray  # (G,) node count per graph
+    rows: np.ndarray  # (E,) block-wide endpoints of every stored edge
+    cols: np.ndarray
+    weights: np.ndarray  # (E,) edge weights in the same order
+
+
+def _edge_arrays(edges: list[tuple[int, int, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoint and weight arrays of a list of (i, j, weight) triples."""
+    if not edges:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    i, j, w = zip(*edges)
+    return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(w, dtype=float)
+
+
+def _block(
+    features: list[np.ndarray], edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> _Block:
+    """Stack graphs and build their normalized adjacency D^-1/2 (A + I) D^-1/2.
+
+    Each graph contributes both directions of every edge and a weight-1
+    self-loop per node; weighted degrees count the self-loop. Memory is
+    O(N^2) in the block's node count N, never in the dataset's.
+
+    Raises:
+        NegativeWeight: If any edge weight is negative.
     """
-    degree = np.ones(n_nodes)
-    for i, j, w in edges:
-        if w < 0:
-            raise NegativeWeight(f"edge ({i}, {j}) has negative weight {w}")
-        degree[i] += w
-        degree[j] += w
-    rows, cols, vals = [], [], []
-    inv_sqrt = 1.0 / np.sqrt(degree)
-    for i, j, w in edges:
-        norm = w * inv_sqrt[i] * inv_sqrt[j]
-        rows.extend((i, j))
-        cols.extend((j, i))
-        vals.extend((norm, norm))
-    for i in range(n_nodes):
-        rows.append(i)
-        cols.append(i)
-        vals.append(1.0 * inv_sqrt[i] * inv_sqrt[i])
-    return np.array(rows), np.array(cols), np.array(vals)
-
-
-def _aggregate(agg, h: np.ndarray) -> np.ndarray:
-    rows, cols, vals = agg
-    out = np.zeros_like(h)
-    np.add.at(out, rows, vals[:, None] * h[cols])
-    return out
+    sizes = np.array([len(x) for x in features])
+    n = int(sizes.sum())
+    src, dst, w = (np.concatenate(parts) for parts in zip(*edges))
+    negative = np.flatnonzero(w < 0)
+    if negative.size:
+        k = negative[0]
+        raise NegativeWeight(f"edge ({src[k]}, {dst[k]}) has negative weight {w[k]}")
+    offsets = np.cumsum(sizes) - sizes
+    shift = np.repeat(offsets, [len(e[2]) for e in edges])
+    rows, cols = src + shift, dst + shift
+    inv_sqrt = 1.0 / np.sqrt(1.0 + np.bincount(rows, w, n) + np.bincount(cols, w, n))
+    adj = np.zeros((n, n))
+    adj[rows, cols] = adj[cols, rows] = w * inv_sqrt[rows] * inv_sqrt[cols]
+    adj[np.arange(n), np.arange(n)] = inv_sqrt * inv_sqrt
+    return _Block(
+        X=np.concatenate(features),
+        adj=adj,
+        graph_id=np.repeat(np.arange(len(sizes)), sizes),
+        sizes=sizes,
+        rows=rows,
+        cols=cols,
+        weights=w,
+    )
 
 
 def gcn_layer(h: np.ndarray, graph: SignalGraph, W: np.ndarray, activation: str = "relu") -> np.ndarray:
@@ -238,7 +278,7 @@ def gcn_layer(h: np.ndarray, graph: SignalGraph, W: np.ndarray, activation: str 
         raise ShapeMismatch(f"W rows {W.shape[0]} do not match feature dim {h.shape[1]}")
     if activation not in ("relu", "identity"):
         raise InvalidConfigValue(f"unknown activation {activation!r}")
-    out = _aggregate(_aggregation(graph.n_nodes, graph.edges), h) @ W
+    out = (_block([h], [_edge_arrays(graph.edges)]).adj @ h) @ W
     return np.maximum(out, 0.0) if activation == "relu" else out
 
 
@@ -254,38 +294,32 @@ def _dropout_mask(shape, p: float, seed: int) -> np.ndarray:
     return (rng.random(size=shape) >= p) / (1.0 - p)
 
 
+def _gcn1(X: np.ndarray, adj: np.ndarray, params: dict) -> tuple[np.ndarray, ...]:
+    """Embedding and first convolution: (E, A1, Z1, H1)."""
+    E = X @ params["W_embed"] + params["b_embed"]
+    A1 = adj @ E
+    Z1 = A1 @ params["W_gcn1"] + params["b_gcn1"]
+    return E, A1, Z1, np.maximum(Z1, 0.0)
+
+
 def _forward_cache(
-    graph: SignalGraph,
-    state: ModelState,
+    block: _Block,
+    params: dict,
     config: ModelConfig,
-    train_mode: bool,
-    dropout_mask: np.ndarray | None,
-    dropout_seed: int,
-    edges: list[tuple[int, int, float]] | None,
+    mask: np.ndarray | None,
     severity_input: np.ndarray | None,
 ) -> dict:
-    """Forward activations over the stored edges, or ``edges`` when given."""
-    X = graph.feature_matrix()
-    agg = _aggregation(graph.n_nodes, edges if edges is not None else graph.edges)
-    params = state.params
+    """Forward activations over a block; ``mask`` None means no dropout."""
+    X = block.X
     if X.shape[1] != params["W_embed"].shape[0]:
         raise ShapeMismatch(
             f"feature dim {X.shape[1]} does not match W_embed rows {params['W_embed'].shape[0]}"
         )
-    cache: dict = {"X": X, "agg": agg}
-    cache["E"] = X @ params["W_embed"] + params["b_embed"]
-    cache["A1"] = _aggregate(agg, cache["E"])
-    cache["Z1"] = cache["A1"] @ params["W_gcn1"] + params["b_gcn1"]
-    cache["H1"] = np.maximum(cache["Z1"], 0.0)
-    if train_mode and config.dropout_p > 0.0:
-        mask = dropout_mask if dropout_mask is not None else _dropout_mask(
-            cache["H1"].shape, config.dropout_p, dropout_seed
-        )
-    else:
-        mask = np.ones_like(cache["H1"])
-    cache["mask"] = mask
-    cache["D1"] = cache["H1"] * mask
-    cache["A2"] = _aggregate(agg, cache["D1"])
+    cache: dict = {"X": X, "adj": block.adj}
+    cache["E"], cache["A1"], cache["Z1"], cache["H1"] = _gcn1(X, block.adj, params)
+    cache["mask"] = np.ones_like(cache["H1"]) if mask is None else mask
+    cache["D1"] = cache["H1"] * cache["mask"]
+    cache["A2"] = block.adj @ cache["D1"]
     cache["Z2"] = cache["A2"] @ params["W_gcn2"] + params["b_gcn2"]
     cache["H2"] = np.maximum(cache["Z2"], 0.0)
 
@@ -307,6 +341,30 @@ def _forward_cache(
         else:
             cache["sev"] = np.maximum(cache["zs2"], 0.0)
     return cache
+
+
+def _graph_pass(
+    graph: SignalGraph,
+    state: ModelState,
+    config: ModelConfig,
+    train_mode: bool,
+    dropout_mask: np.ndarray | None,
+    dropout_seed: int,
+    edges: list[tuple[int, int, float]] | None,
+    severity_input: np.ndarray | None,
+) -> tuple[_Block, dict]:
+    """Forward pass over one graph as a one-graph block: (block, cache).
+
+    The graph's stored edges are used unless ``edges`` overrides them.
+    """
+    mask = None
+    if train_mode and config.dropout_p > 0.0:
+        mask = dropout_mask if dropout_mask is not None else _dropout_mask(
+            (graph.n_nodes, config.gcn1_dim), config.dropout_p, dropout_seed
+        )
+    edge_arrays = _edge_arrays(graph.edges if edges is None else edges)
+    block = _block([graph.feature_matrix()], [edge_arrays])
+    return block, _forward_cache(block, state.params, config, mask, severity_input)
 
 
 def _diagnosis_from_cache(cache: dict, config: ModelConfig) -> Diagnosis:
@@ -339,23 +397,23 @@ def forward(
 
     Args:
         graph: Input graph; its stored edges are used unless ``edges``
-            overrides them (the training loop passes reweighted copies).
+            overrides them.
         train_mode: Enables dropout; draw is deterministic in dropout_seed.
         dropout_mask: Optional precomputed mask (gradient checks freeze it).
 
     Returns:
         (Diagnosis, cache of intermediate activations for the backward pass).
     """
-    cache = _forward_cache(
+    _, cache = _graph_pass(
         graph, state, config, train_mode, dropout_mask, dropout_seed, edges, None
     )
     return _diagnosis_from_cache(cache, config), cache
 
 
 def _targets(graph: SignalGraph, config: ModelConfig) -> dict:
+    """Per-node label arrays of one graph."""
     n = graph.n_nodes
     y_sev = np.array([[t.severity] for t in graph.node_targets])
-    type_mask = np.array([float(t.anomaly) for t in graph.node_targets])
     onehot = np.zeros((n, config.type_classes))
     for i, t in enumerate(graph.node_targets):
         if t.fault_type is not None:
@@ -363,8 +421,7 @@ def _targets(graph: SignalGraph, config: ModelConfig) -> dict:
     targets = {
         "y_anom": np.array([[float(t.anomaly)] for t in graph.node_targets]),
         "y_sev": y_sev,
-        "type_mask": type_mask,
-        "n_anom": float(np.sum(type_mask)),
+        "type_mask": np.array([float(t.anomaly) for t in graph.node_targets]),
         "onehot": onehot,
     }
     if config.severity_bins > 0:
@@ -377,29 +434,98 @@ def _targets(graph: SignalGraph, config: ModelConfig) -> dict:
     return targets
 
 
-def _loss_terms(cache: dict, targets: dict, config: ModelConfig) -> tuple[float, dict]:
-    """Score a forward cache: (total loss, per-component dict)."""
-    # Binary cross-entropy through softplus keeps large logits stable.
-    za = cache["za"]
-    bce = float(np.mean(np.logaddexp(0.0, za) - targets["y_anom"] * za))
+def _block_targets(per_graph: list[dict], block: _Block) -> dict:
+    """Stack per-graph targets and add the per-graph loss normalizers.
 
+    ``node_n`` and ``node_anom`` give each node its graph's node count and
+    anomalous-node count, so node-level losses are weighted 1/n_g and the
+    type loss type_mask/n_anom_g: the block's loss and gradient are then
+    exactly the sums of the per-graph ones.
+    """
+    targets = {key: np.concatenate([t[key] for t in per_graph]) for key in per_graph[0]}
+    n_anom = np.bincount(block.graph_id, targets["type_mask"], len(block.sizes))
+    targets["n_anom"] = n_anom
+    targets["node_n"] = block.sizes[block.graph_id][:, None].astype(float)
+    targets["node_anom"] = np.maximum(n_anom, 1.0)[block.graph_id][:, None]
+    return targets
+
+
+def _loss_terms(
+    cache: dict, targets: dict, block: _Block, config: ModelConfig
+) -> tuple[np.ndarray, dict]:
+    """Score a forward cache per graph: (total losses, per-component arrays)."""
+
+    def per_graph_mean(values: np.ndarray) -> np.ndarray:
+        return np.bincount(block.graph_id, values, len(block.sizes)) / block.sizes
+
+    # Binary cross-entropy through softplus keeps large logits stable.
+    za = cache["za"][:, 0]
+    bce = per_graph_mean(np.logaddexp(0.0, za) - targets["y_anom"][:, 0] * za)
+
+    logp = np.log(np.maximum(cache["type_probs"], 1e-300))
+    node_ce = -np.sum(targets["onehot"] * logp, axis=1) * targets["type_mask"]
     n_anom = targets["n_anom"]
-    if n_anom > 0:
-        logp = np.log(np.maximum(cache["type_probs"], 1e-300))
-        ce = float(-np.sum(targets["onehot"] * logp * targets["type_mask"][:, None]) / n_anom)
-    else:
-        ce = 0.0
+    ce = np.bincount(block.graph_id, node_ce, len(block.sizes)) / np.maximum(n_anom, 1.0)
+    ce = np.where(n_anom > 0, ce, 0.0)
 
     if config.ablation == "no_severity":
-        sev = 0.0
+        sev = np.zeros(len(block.sizes))
     elif config.severity_bins > 0:
         logp = np.log(np.maximum(cache["sev_probs"], 1e-300))
-        sev = float(-np.sum(targets["sev_onehot"] * logp) / len(za))
+        sev = per_graph_mean(-np.sum(targets["sev_onehot"] * logp, axis=1))
     else:
-        sev = float(np.mean((cache["sev"] - targets["y_sev"]) ** 2))
+        sev = per_graph_mean((cache["sev"][:, 0] - targets["y_sev"][:, 0]) ** 2)
 
     total = config.lambda_anomaly * bce + config.lambda_type * ce + config.lambda_severity * sev
     return total, {"anomaly": bce, "type": ce, "severity": sev}
+
+
+def _backward(cache: dict, targets: dict, params: dict, config: ModelConfig) -> dict:
+    """Gradients of the summed per-graph losses, keyed like params."""
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    node_n = targets["node_n"]
+    dza = config.lambda_anomaly * (cache["prob"] - targets["y_anom"]) / node_n
+    dzt = config.lambda_type * (cache["type_probs"] - targets["onehot"])
+    dzt = dzt * targets["type_mask"][:, None] / targets["node_anom"]
+
+    H2 = cache["H2"]
+    grads["W_anom"] = H2.T @ dza
+    grads["b_anom"] = dza.sum(axis=0)
+    grads["W_type"] = H2.T @ dzt
+    grads["b_type"] = dzt.sum(axis=0)
+    dH2 = dza @ params["W_anom"].T + dzt @ params["W_type"].T
+
+    if config.ablation != "no_severity":
+        if config.severity_bins > 0:
+            dzs2 = config.lambda_severity * (cache["sev_probs"] - targets["sev_onehot"]) / node_n
+        else:
+            dsev = config.lambda_severity * 2.0 * (cache["sev"] - targets["y_sev"]) / node_n
+            dzs2 = dsev * (cache["zs2"] > 0)
+        S1 = cache["S1"]
+        grads["W_sev2"] = S1.T @ dzs2
+        grads["b_sev2"] = dzs2.sum(axis=0)
+        dS1 = dzs2 @ params["W_sev2"].T
+        dzs1 = dS1 * (cache["zs1"] > 0)
+        sev_in = cache["sev_in"]
+        grads["W_sev1"] = sev_in.T @ dzs1
+        grads["b_sev1"] = dzs1.sum(axis=0)
+        if config.severity_to_trunk:
+            dH2 = dH2 + dzs1 @ params["W_sev1"].T
+
+    dZ2 = dH2 * (cache["Z2"] > 0)
+    grads["W_gcn2"] = cache["A2"].T @ dZ2
+    grads["b_gcn2"] = dZ2.sum(axis=0)
+    dA2 = dZ2 @ params["W_gcn2"].T
+    dD1 = cache["adj"] @ dA2  # the normalized adjacency is symmetric
+    dH1 = dD1 * cache["mask"]
+    dZ1 = dH1 * (cache["Z1"] > 0)
+    grads["W_gcn1"] = cache["A1"].T @ dZ1
+    grads["b_gcn1"] = dZ1.sum(axis=0)
+    dA1 = dZ1 @ params["W_gcn1"].T
+    dE = cache["adj"] @ dA1
+    grads["W_embed"] = cache["X"].T @ dE
+    grads["b_embed"] = dE.sum(axis=0)
+    return grads
 
 
 def loss_and_grads(
@@ -429,60 +555,13 @@ def loss_and_grads(
     Returns:
         (total loss, per-component dict, gradient dict keyed like params).
     """
-    cache = _forward_cache(
+    block, cache = _graph_pass(
         graph, state, config, train_mode, dropout_mask, dropout_seed, edges, frozen_severity_input
     )
-    targets = _targets(graph, config)
-    total, components = _loss_terms(cache, targets, config)
-
-    n = graph.n_nodes
-    params = state.params
-    type_mask, onehot, n_anom = targets["type_mask"], targets["onehot"], targets["n_anom"]
-    grads = {name: np.zeros_like(p) for name, p in params.items()}
-
-    dza = config.lambda_anomaly * (cache["prob"] - targets["y_anom"]) / n
-    dzt = config.lambda_type * (cache["type_probs"] - onehot) * type_mask[:, None]
-    dzt = dzt / n_anom if n_anom > 0 else np.zeros_like(dzt)
-
-    H2 = cache["H2"]
-    grads["W_anom"] = H2.T @ dza
-    grads["b_anom"] = dza.sum(axis=0)
-    grads["W_type"] = H2.T @ dzt
-    grads["b_type"] = dzt.sum(axis=0)
-    dH2 = dza @ params["W_anom"].T + dzt @ params["W_type"].T
-
-    if config.ablation != "no_severity":
-        if config.severity_bins > 0:
-            dzs2 = config.lambda_severity * (cache["sev_probs"] - targets["sev_onehot"]) / n
-        else:
-            dsev = config.lambda_severity * 2.0 * (cache["sev"] - targets["y_sev"]) / n
-            dzs2 = dsev * (cache["zs2"] > 0)
-        S1 = cache["S1"]
-        grads["W_sev2"] = S1.T @ dzs2
-        grads["b_sev2"] = dzs2.sum(axis=0)
-        dS1 = dzs2 @ params["W_sev2"].T
-        dzs1 = dS1 * (cache["zs1"] > 0)
-        sev_in = cache["sev_in"]
-        grads["W_sev1"] = sev_in.T @ dzs1
-        grads["b_sev1"] = dzs1.sum(axis=0)
-        if config.severity_to_trunk:
-            dH2 = dH2 + dzs1 @ params["W_sev1"].T
-
-    dZ2 = dH2 * (cache["Z2"] > 0)
-    grads["W_gcn2"] = cache["A2"].T @ dZ2
-    grads["b_gcn2"] = dZ2.sum(axis=0)
-    dA2 = dZ2 @ params["W_gcn2"].T
-    dD1 = _aggregate(cache["agg"], dA2)  # aggregation matrix is symmetric
-    dH1 = dD1 * cache["mask"]
-    dZ1 = dH1 * (cache["Z1"] > 0)
-    grads["W_gcn1"] = cache["A1"].T @ dZ1
-    grads["b_gcn1"] = dZ1.sum(axis=0)
-    dA1 = dZ1 @ params["W_gcn1"].T
-    dE = _aggregate(cache["agg"], dA1)
-    grads["W_embed"] = cache["X"].T @ dE
-    grads["b_embed"] = dE.sum(axis=0)
-
-    return total, components, grads
+    targets = _block_targets([_targets(graph, config)], block)
+    total, components = _loss_terms(cache, targets, block, config)
+    grads = _backward(cache, targets, state.params, config)
+    return float(total[0]), {k: float(v[0]) for k, v in components.items()}, grads
 
 
 def loss_value(
@@ -502,10 +581,20 @@ def loss_value(
     gradients differentiate the same function. Both score the forward
     cache through one shared loss helper.
     """
-    cache = _forward_cache(
+    block, cache = _graph_pass(
         graph, state, config, train_mode, dropout_mask, dropout_seed, edges, frozen_severity_input
     )
-    return _loss_terms(cache, _targets(graph, config), config)[0]
+    targets = _block_targets([_targets(graph, config)], block)
+    return float(_loss_terms(cache, targets, block, config)[0][0])
+
+
+def _reweighted(
+    rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, h1: np.ndarray, beta: float
+) -> np.ndarray:
+    """New weights of the edges (rows[k], cols[k]); see reweight_edges."""
+    cos, undefined = row_cosines(h1[rows], h1[cols])
+    f = np.where(undefined, 0.5, similarity_weight(cos))
+    return np.clip((1.0 - beta) * weights + beta * f, 0.0, 1.0)
 
 
 def reweight_edges(
@@ -524,24 +613,8 @@ def reweight_edges(
     """
     if not 0.0 <= beta <= 1.0:
         raise InvalidConfigValue(f"beta must lie in [0, 1], got {beta}")
-    norms = np.linalg.norm(h1, axis=1)
-    out = []
-    for i, j, w in edges:
-        if norms[i] <= 1e-12 or norms[j] <= 1e-12:
-            f = 0.5
-        else:
-            c = float(np.clip(np.dot(h1[i], h1[j]) / (norms[i] * norms[j]), -1.0, 1.0))
-            f = (1.0 + c) / 2.0
-        out.append((i, j, float(np.clip((1.0 - beta) * w + beta * f, 0.0, 1.0))))
-    return out
-
-
-def _gcn1_hidden(graph: SignalGraph, state: ModelState, edges) -> np.ndarray:
-    """Eval-mode activations of the first convolution (reweighting input)."""
-    agg = _aggregation(graph.n_nodes, edges)
-    E = graph.feature_matrix() @ state.params["W_embed"] + state.params["b_embed"]
-    Z1 = _aggregate(agg, E) @ state.params["W_gcn1"] + state.params["b_gcn1"]
-    return np.maximum(Z1, 0.0)
+    i, j, w = _edge_arrays(edges)
+    return list(zip(i.tolist(), j.tolist(), _reweighted(i, j, w, h1, beta).tolist()))
 
 
 def _check_feature_dims(dataset: list[SignalGraph], config: ModelConfig) -> int:
@@ -562,17 +635,29 @@ def _graph_key(index: int, graph: SignalGraph) -> str:
     return f"{index}:{graph.source}"
 
 
+def _chunks(count: int, size: int):
+    return (range(start, min(start + size, count)) for start in range(0, count, size))
+
+
 def evaluate_anomaly_accuracy(
     dataset: list[SignalGraph], state: ModelState, config: ModelConfig
 ) -> float:
-    """Graph-level anomaly accuracy in eval mode (thresholded mean prob)."""
+    """Graph-level anomaly accuracy in eval mode (thresholded mean prob).
+
+    Graphs are scored in blocks of ``config.batch_size``.
+    """
     if not dataset:
         raise EmptyDataset("cannot evaluate on an empty dataset")
     correct = 0
-    for g in dataset:
-        diagnosis, _ = forward(g, state, config, train_mode=False)
-        truth = bool(g.node_targets[0].anomaly)
-        correct += int(diagnosis.is_anomalous == truth)
+    for chunk in _chunks(len(dataset), config.batch_size):
+        graphs = [dataset[i] for i in chunk]
+        block = _block(
+            [g.feature_matrix() for g in graphs], [_edge_arrays(g.edges) for g in graphs]
+        )
+        prob = _forward_cache(block, state.params, config, None, None)["prob"][:, 0]
+        mean_prob = np.bincount(block.graph_id, prob, len(graphs)) / block.sizes
+        truth = np.array([bool(g.node_targets[0].anomaly) for g in graphs])
+        correct += int(np.sum((mean_prob > 0.5) == truth))
     return correct / len(dataset)
 
 
@@ -591,10 +676,13 @@ def train(
 ) -> tuple[ModelState, list[dict]]:
     """Seeded mini-batch SGD over per-recording graphs.
 
-    Per epoch: shuffle, accumulate batch-mean gradients, update, then
+    Per epoch: shuffle; for each minibatch, one forward and one backward
+    pass over the block-diagonal graph of its members, whose gradient is
+    the sum of the per-graph gradients; update with the batch mean. Then
     (unless the no_reweight ablation) blend every graph's edge weights
-    toward first-layer hidden similarity. Input graphs are not mutated;
-    the loop works on copies of their edge lists.
+    toward first-layer hidden similarity, in blocks of batch_size graphs.
+    Each graph keeps its own dropout stream. Input graphs are not mutated;
+    the loop works on copies of their edge weights.
 
     Returns:
         (final state, per-epoch log of loss and validation accuracy).
@@ -608,46 +696,56 @@ def train(
         raise EmptyDataset("training requires at least one graph")
     dim = _check_feature_dims(dataset, config)
     state = init_state(dim, config)
-    edge_lists = [list(g.edges) for g in dataset]
+    params = state.params
+    features = [g.feature_matrix() for g in dataset]
+    edges = [_edge_arrays(g.edges) for g in dataset]  # (i, j, weights) per graph
+    targets = [_targets(g, config) for g in dataset]
+
+    def block_of(members) -> _Block:
+        return _block([features[k] for k in members], [edges[k] for k in members])
 
     log: list[dict] = []
     for epoch in range(config.epochs):
         order = make_rng(derive_seed(config.seed, "shuffle", str(epoch))).permutation(len(dataset))
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grad_sum = {name: np.zeros_like(p) for name, p in state.params.items()}
-            for idx in batch:
-                idx = int(idx)
-                total, _, grads = loss_and_grads(
-                    dataset[idx],
-                    state,
-                    config,
-                    train_mode=True,
-                    dropout_seed=derive_seed(config.seed, "dropout", str(epoch), str(idx)),
-                    edges=edge_lists[idx],
-                )
-                epoch_losses.append(total)
-                for name in grad_sum:
-                    grad_sum[name] += grads[name]
+            batch = [int(k) for k in order[start : start + config.batch_size]]
+            block = block_of(batch)
+            mask = None
+            if config.dropout_p > 0.0:
+                mask = np.concatenate([
+                    _dropout_mask(
+                        (len(features[k]), config.gcn1_dim),
+                        config.dropout_p,
+                        derive_seed(config.seed, "dropout", str(epoch), str(k)),
+                    )
+                    for k in batch
+                ])
+            cache = _forward_cache(block, params, config, mask, None)
+            batch_targets = _block_targets([targets[k] for k in batch], block)
+            totals, _ = _loss_terms(cache, batch_targets, block, config)
+            epoch_losses.append(totals)
+            grads = _backward(cache, batch_targets, params, config)
             scale = effective_learning_rate(config, epoch) / len(batch)
-            for name in state.params:
-                state.params[name] -= scale * grad_sum[name]
+            for name in params:
+                params[name] -= scale * grads[name]
 
         if config.ablation != "no_reweight" and config.beta > 0.0:
-            for idx, g in enumerate(dataset):
-                h1 = _gcn1_hidden(g, state, edge_lists[idx])
-                edge_lists[idx] = reweight_edges(edge_lists[idx], h1, config.beta)
+            for chunk in _chunks(len(dataset), config.batch_size):
+                block = block_of(chunk)
+                h1 = _gcn1(block.X, block.adj, params)[3]
+                new = _reweighted(block.rows, block.cols, block.weights, h1, config.beta)
+                splits = np.cumsum([len(edges[k][2]) for k in chunk])[:-1]
+                for k, w in zip(chunk, np.split(new, splits)):
+                    edges[k] = (*edges[k][:2], w)
 
-        entry = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
+        entry = {"epoch": epoch, "train_loss": float(np.mean(np.concatenate(epoch_losses)))}
         if val_dataset:
             entry["val_accuracy"] = evaluate_anomaly_accuracy(val_dataset, state, config)
         log.append(entry)
 
     state.epoch = config.epochs
-    state.edge_weights = {
-        _graph_key(i, g): [w for _, _, w in edge_lists[i]] for i, g in enumerate(dataset)
-    }
+    state.edge_weights = {_graph_key(k, g): edges[k][2].tolist() for k, g in enumerate(dataset)}
     return state, log
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from gnnase import cli
 from gnnase.config import config_from_json, config_to_json, load_config
-from gnnase.errors import ChannelMismatch, InvalidConfig, ParseError
+from gnnase.errors import ChannelMismatch, InvalidConfig, InvalidConfigValue, ParseError
 
 # Small signals keep the full pipeline under a second per command: 2 kHz
 # for 0.5 s gives 1000 samples and six 256-sample windows per recording.
@@ -76,6 +76,18 @@ class TestConfig:
     def test_invalid_value_named(self):
         with pytest.raises(InvalidConfig, match="model"):
             config_from_json({"model": {"learning_rate": -1.0}})
+
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_severity_to_trunk_must_be_boolean(self, value):
+        # bool("false") is True: a string must not silently turn the coupling on.
+        with pytest.raises(InvalidConfig, match="severity_to_trunk") as excinfo:
+            config_from_json({"model": {"severity_to_trunk": value}})
+        assert isinstance(excinfo.value.__cause__, InvalidConfigValue)
+
+    def test_severity_to_trunk_accepts_booleans(self):
+        for value in (False, True):
+            config = config_from_json({"model": {"severity_to_trunk": value}})
+            assert config.model.severity_to_trunk is value
 
     def test_unknown_section_rejected(self):
         with pytest.raises(InvalidConfig, match="typo"):
@@ -278,6 +290,20 @@ class TestDiagnose:
         assert run(["diagnose", "--config", config, bad, "--quiet"]) == 1
         err = capsys.readouterr().err
         assert "ParseError" in err and "line 4" in err
+
+    def test_uneven_time_step_names_line(self, workspace, tmp_path):
+        root, _ = workspace
+        source = sorted((root / "data").glob("healthy-*.csv"))[0]
+        lines = source.read_text().strip().split("\n")
+        # Shift every time stamp from data row 500 (line 502) on by half a
+        # step: the first two steps stay even, the one ending on line 502 is not.
+        for index in range(501, len(lines)):
+            t, rest = lines[index].split(",", 1)
+            lines[index] = f"{float(t) + 0.5 / 2000.0!r},{rest}"
+        bad = tmp_path / "uneven.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 502"):
+            cli.read_recording_csv(bad)
 
     def test_channel_mismatch(self, workspace, tmp_path, capsys):
         root, config = workspace

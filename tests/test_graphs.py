@@ -84,6 +84,26 @@ class TestBuildGraph:
         with pytest.raises(TooFewWindows):
             graphs.build_graph(windows_from([[1.0, 2.0]]), HEALTHY, k=0)
 
+    def test_weights_are_edge_weight_exactly(self):
+        # One mapping: every stored weight is bit for bit edge_weight of its
+        # endpoints, so changing the formula at either site fails here.
+        for seed in range(20):
+            rng = make_rng(100 + seed)
+            n = int(rng.integers(2, 40))
+            w = windows_from(rng.normal(size=(n, 20)) + 0.3)
+            g = graphs.build_graph(w, FAULT, k=int(rng.integers(0, 5)))
+            for i, j, weight in g.edges:
+                assert weight == graphs.edge_weight(w[i].x, w[j].x)
+
+    def test_zero_window_rejected(self):
+        with pytest.raises(ZeroVector):
+            graphs.build_graph(windows_from([[1.0, 2.0], [0.0, 0.0], [2.0, 1.0]]), HEALTHY, k=1)
+
+    def test_mixed_feature_shapes_rejected(self):
+        w = windows_from([[1.0, 2.0], [2.0, 1.0]]) + windows_from([[1.0, 2.0, 3.0]])
+        with pytest.raises(ShapeMismatch):
+            graphs.build_graph(w, HEALTHY, k=1)
+
     def test_weights_in_unit_interval(self):
         rng = make_rng(5)
         w = windows_from(rng.normal(size=(10, 6)))

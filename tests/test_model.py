@@ -13,7 +13,7 @@ from gnnase.errors import (
 )
 from gnnase.features import WindowFeatures
 from gnnase.graphs import NodeTargets, SignalGraph, build_graph
-from gnnase.numerics import finite_diff_grad, make_rng
+from gnnase.numerics import derive_seed, finite_diff_grad, make_rng
 from gnnase.simulate import FaultSpec
 
 ECC = FaultSpec(kind="eccentricity", subtype="static", severity=0.75)
@@ -447,6 +447,166 @@ class TestTrain:
         dataset = tiny_dataset(2, d=20) + tiny_dataset(2, d=12)
         with pytest.raises(FeatureDimMismatch):
             model.train(dataset, model.ModelConfig(**SMALL))
+
+
+def mixed_size_dataset(d=20, seed=50):
+    """Graphs of 2 to 9 nodes with every label and mixed per-node targets."""
+    sizes = [5, 2, 9, 3, 7, 4, 6, 8]
+    graphs = [mixed_targets_graph(n=n, d=d, seed=seed + k) for k, n in enumerate(sizes[:4])]
+    labels = [HEALTHY, ECC, FaultSpec(kind="bearing", site="inner", severity=0.5), HEALTHY]
+    graphs += [
+        random_graph(n=n, d=d, seed=seed + 10 + k, label=label, k=k % 3)
+        for k, (n, label) in enumerate(zip(sizes[4:], labels))
+    ]
+    return graphs
+
+
+def assert_close(actual, expected, rel=1e-12):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    scale = max(float(np.max(np.abs(expected))), 1e-300)
+    assert float(np.max(np.abs(actual - expected))) <= rel * scale
+
+
+class TestBatchedEngine:
+    """One block-diagonal pass over a minibatch equals the per-graph calls."""
+
+    @pytest.mark.parametrize("ablation", model.ABLATIONS)
+    @pytest.mark.parametrize("severity_bins", [0, 4])
+    @pytest.mark.parametrize("severity_to_trunk", [False, True])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_batch_equals_sum_of_graphs(self, ablation, severity_bins, severity_to_trunk, frozen):
+        config = model.ModelConfig(
+            ablation=ablation, severity_bins=severity_bins, severity_to_trunk=severity_to_trunk,
+            **SMALL,
+        )
+        d = 12 if ablation == "no_freq_features" else 20
+        graphs = mixed_size_dataset(d=d)
+        state = model.init_state(d, config)
+        rng = make_rng(60)
+        # Move the biases off zero so every head is live.
+        for name in state.params:
+            state.params[name] += 0.05 * rng.normal(size=state.params[name].shape)
+        masks = [
+            model._dropout_mask((g.n_nodes, config.gcn1_dim), 0.5, seed=k)
+            for k, g in enumerate(graphs)
+        ]
+        severity = [
+            np.abs(rng.normal(size=(g.n_nodes, config.gcn2_dim))) if frozen else None
+            for g in graphs
+        ]
+
+        totals, grads = [], []
+        for g, mask, sev_in in zip(graphs, masks, severity):
+            total, _, grad = model.loss_and_grads(
+                g, state, config, dropout_mask=mask, frozen_severity_input=sev_in
+            )
+            totals.append(total)
+            grads.append(grad)
+
+        block = model._block(
+            [g.feature_matrix() for g in graphs], [model._edge_arrays(g.edges) for g in graphs]
+        )
+        cache = model._forward_cache(
+            block, state.params, config, np.concatenate(masks),
+            np.concatenate(severity) if frozen else None,
+        )
+        targets = model._block_targets([model._targets(g, config) for g in graphs], block)
+        batch_totals, _ = model._loss_terms(cache, targets, block, config)
+        batch_grads = model._backward(cache, targets, state.params, config)
+
+        assert_close(batch_totals, totals)
+        for name in state.params:
+            assert_close(batch_grads[name], sum(grad[name] for grad in grads))
+
+    def test_negative_weight_raised_from_minibatch(self):
+        dataset = mixed_size_dataset()
+        i, j, _ = dataset[5].edges[0]
+        dataset[5].edges[0] = (i, j, -0.1)
+        with pytest.raises(NegativeWeight):
+            model.train(dataset, model.ModelConfig(epochs=1, batch_size=4, **SMALL))
+
+    def test_vectorized_reweighting_neutral_and_clamped(self):
+        h1 = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+        rows = np.array([0, 1, 1, 3, 1])
+        cols = np.array([1, 2, 2, 4, 4])
+        weights = np.array([0.2, 1.5, 0.4, 0.9, -0.5])
+        out = model._reweighted(rows, cols, weights, h1, 1.0)
+        assert out[0] == 0.5 and out[3] == 0.5  # an all-zero row: neutral f
+        assert out[1] == 1.0 and out[4] == 0.0  # cosines 1 and -1
+        out = model._reweighted(rows, cols, weights, h1, 0.1)
+        assert out[1] == 1.0 and out[4] == 0.0  # blends of 1.5 and -0.5 clamped
+        assert np.all((out >= 0.0) & (out <= 1.0))
+
+    def test_vectorized_reweighting_matches_per_graph(self):
+        graphs = mixed_size_dataset()
+        rng = make_rng(61)
+        block = model._block(
+            [g.feature_matrix() for g in graphs], [model._edge_arrays(g.edges) for g in graphs]
+        )
+        h1 = np.maximum(rng.normal(size=(len(block.X), 8)), 0.0)
+        h1[3] = 0.0
+        together = model._reweighted(block.rows, block.cols, block.weights, h1, 0.3)
+        offset, expected = 0, []
+        for g in graphs:
+            local = model.reweight_edges(g.edges, h1[offset : offset + g.n_nodes], 0.3)
+            expected += [w for _, _, w in local]
+            offset += g.n_nodes
+        assert together.tolist() == expected
+
+
+def reference_train(dataset, config, val_dataset=None):
+    """Per-graph SGD: one loss_and_grads call per graph, reweight_edges per graph."""
+    state = model.init_state(dataset[0].nodes[0].x.shape[0], config)
+    edge_lists = [list(g.edges) for g in dataset]
+    log = []
+    for epoch in range(config.epochs):
+        order = make_rng(derive_seed(config.seed, "shuffle", str(epoch))).permutation(len(dataset))
+        losses = []
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            grad_sum = {name: np.zeros_like(p) for name, p in state.params.items()}
+            for idx in batch:
+                total, _, grads = model.loss_and_grads(
+                    dataset[idx], state, config,
+                    dropout_seed=derive_seed(config.seed, "dropout", str(epoch), str(idx)),
+                    edges=edge_lists[idx],
+                )
+                losses.append(total)
+                for name in grad_sum:
+                    grad_sum[name] += grads[name]
+            scale = model.effective_learning_rate(config, epoch) / len(batch)
+            for name in state.params:
+                state.params[name] -= scale * grad_sum[name]
+        if config.ablation != "no_reweight" and config.beta > 0.0:
+            for idx, g in enumerate(dataset):
+                _, cache = model.forward(g, state, config, edges=edge_lists[idx])
+                edge_lists[idx] = model.reweight_edges(edge_lists[idx], cache["H1"], config.beta)
+        entry = {"epoch": epoch, "train_loss": float(np.mean(losses))}
+        if val_dataset:
+            hits = [
+                model.forward(g, state, config)[0].is_anomalous == bool(g.node_targets[0].anomaly)
+                for g in val_dataset
+            ]
+            entry["val_accuracy"] = sum(hits) / len(val_dataset)
+        log.append(entry)
+    return state, log, edge_lists
+
+
+class TestTrainMatchesReference:
+    @pytest.mark.parametrize("ablation", ["full", "no_reweight", "no_severity"])
+    @pytest.mark.parametrize("dataset", ["tiny", "mixed"])
+    def test_three_epochs(self, ablation, dataset):
+        graphs = tiny_dataset(8) if dataset == "tiny" else mixed_size_dataset()
+        config = model.ModelConfig(epochs=3, batch_size=3, seed=11, ablation=ablation, **SMALL)
+        state, log = model.train(graphs, config, val_dataset=graphs[:5])
+        ref_state, ref_log, ref_edges = reference_train(graphs, config, val_dataset=graphs[:5])
+        for name in state.params:
+            assert_close(state.params[name], ref_state.params[name])
+        for entry, ref in zip(log, ref_log, strict=True):
+            assert entry["train_loss"] == pytest.approx(ref["train_loss"], rel=1e-12)
+            assert entry["val_accuracy"] == ref["val_accuracy"]
+        weights = [w for ws in state.edge_weights.values() for w in ws]
+        assert_close(weights, [w for edges in ref_edges for _, _, w in edges])
 
 
 class TestCheckpoint:
