@@ -10,6 +10,10 @@ class DiagnosticsError(ValueError):
     module = "gnnase"
 
 
+class InvalidConfigValue(DiagnosticsError):
+    """A setting outside its range; every stage raises it, so it keeps the package tag."""
+
+
 # -- numerics ---------------------------------------------------------------
 
 class EmptySignal(DiagnosticsError):
@@ -31,10 +35,6 @@ class AsymmetricSpectrum(DiagnosticsError):
 # -- machine simulation -----------------------------------------------------
 
 class InvalidSlip(DiagnosticsError):
-    module = "simulate"
-
-
-class InvalidConfigValue(DiagnosticsError):
     module = "simulate"
 
 

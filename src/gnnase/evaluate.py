@@ -15,7 +15,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import EmptyCatalog, InvalidRatios, UndefinedMetric
-from .features import Standardizer, WindowFeatures, extract_windows, feature_names
+from .features import Standardizer, extract_windows, feature_names
 from .graphs import KIND_TO_CLASS, TYPE_CLASSES, SignalGraph, build_graph
 from .model import ABLATIONS, ModelConfig, ModelState, PipelineSettings, forward, train
 from .numerics import derive_seed, make_rng

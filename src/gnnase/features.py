@@ -16,7 +16,6 @@ nothing about a fault and would otherwise dominate the argmax.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -70,11 +69,11 @@ class WindowFeatures:
     source: str
 
 
-def peak_amplitude(window, absolute: bool = False) -> float:
+def peak_amplitude(window) -> float:
     """Maximum sample value of the window.
 
-    The default is the literal signed maximum, so an all-negative window
-    has a negative peak. Pass absolute=True for max |S(t)| instead.
+    This is the literal signed maximum, so an all-negative window has a
+    negative peak.
 
     Raises:
         EmptyWindow: If the window has no samples.
@@ -82,7 +81,7 @@ def peak_amplitude(window, absolute: bool = False) -> float:
     window = np.asarray(window, dtype=float)
     if window.size == 0:
         raise EmptyWindow("peak_amplitude needs at least one sample")
-    return float(np.max(np.abs(window) if absolute else window))
+    return float(np.max(window))
 
 
 def rms(window) -> float:
@@ -240,37 +239,3 @@ class Standardizer:
     @classmethod
     def from_json(cls, blob: dict) -> "Standardizer":
         return cls(mean=np.array(blob["mean"], dtype=float), std=np.array(blob["std"], dtype=float))
-
-
-def save_feature_table(
-    table: list[WindowFeatures],
-    path: str | Path,
-    names: list[str],
-) -> None:
-    """Write features as CSV: recording id, window index, one column per feature."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("source,window_index," + ",".join(names) + "\n")
-        for wf in table:
-            values = ",".join(repr(float(v)) for v in wf.x)
-            fh.write(f"{wf.source},{wf.window_index},{values}\n")
-
-
-def load_feature_table(path: str | Path) -> tuple[list[WindowFeatures], list[str]]:
-    """Read a CSV written by save_feature_table."""
-    path = Path(path)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        names = header[2:]
-        table = []
-        for line in fh:
-            parts = line.strip().split(",")
-            table.append(
-                WindowFeatures(
-                    x=np.array([float(v) for v in parts[2:]]),
-                    window_index=int(parts[1]),
-                    source=parts[0],
-                )
-            )
-    return table, names

@@ -12,9 +12,7 @@ Edges are stored once with i < j; the graph is undirected throughout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -70,14 +68,6 @@ class SignalGraph:
 
     def feature_matrix(self) -> np.ndarray:
         return np.stack([node.x for node in self.nodes])
-
-    def degrees(self) -> np.ndarray:
-        """Unweighted degree per node, self-loops excluded."""
-        deg = np.zeros(self.n_nodes, dtype=int)
-        for i, j, _ in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
 
 
 def fault_targets(label: FaultSpec) -> NodeTargets:
@@ -197,67 +187,3 @@ def build_graph(
         feature_names=list(feature_names or []),
         source=windows[0].source,
     )
-
-
-def graph_stats(graph: SignalGraph) -> dict:
-    """Deterministic summary: counts, degree range, weight histogram."""
-    weights = np.array([w for _, _, w in graph.edges], dtype=float)
-    hist, _ = np.histogram(weights, bins=10, range=(0.0, 1.0)) if weights.size else (np.zeros(10, dtype=int), None)
-    deg = graph.degrees()
-    return {
-        "nodes": graph.n_nodes,
-        "edges": len(graph.edges),
-        "degree_min": int(deg.min()) if graph.n_nodes else 0,
-        "degree_max": int(deg.max()) if graph.n_nodes else 0,
-        "weight_histogram": [int(c) for c in hist],
-    }
-
-
-def graph_to_json(graph: SignalGraph) -> dict:
-    return {
-        "source": graph.source,
-        "feature_names": graph.feature_names,
-        "nodes": [
-            {"x": [float(v) for v in node.x], "window_index": node.window_index, "source": node.source}
-            for node in graph.nodes
-        ],
-        "edges": [[i, j, float(w)] for i, j, w in graph.edges],
-        "targets": [
-            {"anomaly": t.anomaly, "severity": t.severity, "fault_type": t.fault_type}
-            for t in graph.node_targets
-        ],
-    }
-
-
-def graph_from_json(blob: dict) -> SignalGraph:
-    return SignalGraph(
-        nodes=[
-            WindowFeatures(
-                x=np.array(node["x"], dtype=float),
-                window_index=node["window_index"],
-                source=node["source"],
-            )
-            for node in blob["nodes"]
-        ],
-        edges=[(int(i), int(j), float(w)) for i, j, w in blob["edges"]],
-        node_targets=[
-            NodeTargets(anomaly=t["anomaly"], severity=t["severity"], fault_type=t["fault_type"])
-            for t in blob["targets"]
-        ],
-        feature_names=list(blob["feature_names"]),
-        source=blob["source"],
-    )
-
-
-def save_graphs(graphs: list[SignalGraph], path: str | Path) -> None:
-    """Write a list of graphs to one JSON file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump([graph_to_json(g) for g in graphs], fh)
-        fh.write("\n")
-
-
-def load_graphs(path: str | Path) -> list[SignalGraph]:
-    with open(path) as fh:
-        return [graph_from_json(blob) for blob in json.load(fh)]

@@ -35,12 +35,13 @@ multi-task trunk instead.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
+from . import codec
 from .errors import (
     EmptyDataset,
     FeatureDimMismatch,
@@ -61,7 +62,7 @@ ABLATIONS = ("full", "no_reweight", "no_severity", "no_freq_features")
 # variant must not see them.
 FREQ_NAME_MARKERS = ("f_dom", "h_spec")
 
-CHECKPOINT_FORMAT = "gnnase-checkpoint-v1"
+CHECKPOINT_FORMAT = "gnnase-checkpoint-v2"
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,6 @@ class ModelConfig:
     gcn1_dim: int = 64
     gcn2_dim: int = 64
     severity_dim: int = 32
-    type_classes: int = 3
     learning_rate: float = 0.01
     # "cosine" anneals the step size from learning_rate to ~0 across the run;
     # "constant" keeps it fixed. Annealing settles the severity regression,
@@ -176,8 +176,8 @@ def _param_specs(feature_dim: int, config: ModelConfig) -> list[tuple[str, tuple
         ("b_sev1", (config.severity_dim,)),
         ("W_sev2", (config.severity_dim, config.severity_out_dim)),
         ("b_sev2", (config.severity_out_dim,)),
-        ("W_type", (config.gcn2_dim, config.type_classes)),
-        ("b_type", (config.type_classes,)),
+        ("W_type", (config.gcn2_dim, len(TYPE_CLASSES))),
+        ("b_type", (len(TYPE_CLASSES),)),
     ]
 
 
@@ -414,7 +414,7 @@ def _targets(graph: SignalGraph, config: ModelConfig) -> dict:
     """Per-node label arrays of one graph."""
     n = graph.n_nodes
     y_sev = np.array([[t.severity] for t in graph.node_targets])
-    onehot = np.zeros((n, config.type_classes))
+    onehot = np.zeros((n, len(TYPE_CLASSES)))
     for i, t in enumerate(graph.node_targets):
         if t.fault_type is not None:
             onehot[i, TYPE_CLASSES.index(t.fault_type)] = 1.0
@@ -794,26 +794,6 @@ def diagnose(
     return diagnosis
 
 
-def pipeline_to_json(pipeline: PipelineSettings) -> dict:
-    return {
-        "window": {"window_len": pipeline.window.window_len, "hop": pipeline.window.hop},
-        "filter": None
-        if pipeline.filter is None
-        else {"cutoff": pipeline.filter.cutoff, "order": pipeline.filter.order},
-        "neighbors": pipeline.neighbors,
-        "include_frequency": pipeline.include_frequency,
-    }
-
-
-def pipeline_from_json(blob: dict) -> PipelineSettings:
-    return PipelineSettings(
-        window=WindowSpec(**blob["window"]),
-        filter=None if blob["filter"] is None else FilterSpec(**blob["filter"]),
-        neighbors=blob["neighbors"],
-        include_frequency=blob["include_frequency"],
-    )
-
-
 def save_checkpoint(
     path: str | Path,
     state: ModelState,
@@ -828,10 +808,10 @@ def save_checkpoint(
     """
     blob = {
         "format": CHECKPOINT_FORMAT,
-        "config": asdict(config),
+        "config": codec.to_json(config),
         "feature_dim": state.feature_dim,
         "epoch": state.epoch,
-        "pipeline": None if pipeline is None else pipeline_to_json(pipeline),
+        "pipeline": None if pipeline is None else codec.to_json(pipeline),
         "standardizer": None if standardizer is None else standardizer.to_json(),
         "params": {
             name: {"shape": list(p.shape), "data": [float(v) for v in p.ravel()]}
@@ -850,15 +830,16 @@ def load_checkpoint(
 ) -> tuple[ModelState, ModelConfig, PipelineSettings | None, Standardizer | None]:
     with open(path) as fh:
         blob = json.load(fh)
-    if blob.get("format") != CHECKPOINT_FORMAT:
-        raise InvalidConfigValue(f"unrecognized checkpoint format {blob.get('format')!r}")
-    config = ModelConfig(**blob["config"])
+    found = blob.get("format") if isinstance(blob, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise InvalidConfigValue(f"unrecognized checkpoint format {found!r}")
+    config = codec.from_json(ModelConfig, blob["config"], "config")
     params = {
         name: np.array(entry["data"], dtype=float).reshape(entry["shape"])
         for name, entry in blob["params"].items()
     }
     state = ModelState(params=params, feature_dim=blob["feature_dim"], epoch=blob["epoch"])
-    pipeline = None if blob["pipeline"] is None else pipeline_from_json(blob["pipeline"])
+    pipeline = codec.decode(PipelineSettings | None, blob["pipeline"], "pipeline")
     standardizer = (
         None if blob["standardizer"] is None else Standardizer.from_json(blob["standardizer"])
     )

@@ -1,9 +1,9 @@
 """Numerical kernel shared by the whole pipeline.
 
-Wraps dense linear algebra and the discrete Fourier transform (64-bit
-throughout), provides the counter-based seeded random generator that makes
-dataset synthesis bit-reproducible, and houses the central-difference
-gradient checker used to validate every analytic gradient in the model.
+Wraps the discrete Fourier transform (64-bit throughout), provides the
+counter-based seeded random generator that makes dataset synthesis
+bit-reproducible, and houses the central-difference gradient checker used
+to validate every analytic gradient in the model.
 """
 
 from __future__ import annotations
@@ -104,21 +104,6 @@ def inverse_dft(spectrum: ComplexSpectrum, tol: float = 1e-9) -> np.ndarray:
             f"spectrum violates conjugate symmetry by {worst:.3e} (tol {tol * scale:.3e})"
         )
     return np.fft.ifft(bins).real
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense matrix product with an explicit shape check.
-
-    Raises:
-        ShapeMismatch: If a.cols != b.rows.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatch(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def finite_diff_grad(

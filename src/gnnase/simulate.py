@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import codec
 from .errors import InvalidConfigValue, InvalidFv, InvalidSlip, NonFinite
 from .numerics import derive_seed, make_rng
 
@@ -193,31 +194,6 @@ class Recording:
         return len(next(iter(self.channels.values())))
 
 
-def brb_frequency(f_s: float, s: float, p: int, k: int = 1) -> tuple[float, float]:
-    """Broken-rotor-bar characteristic frequency pair.
-
-    Computes ``f_s * (k * (1 - s) / p +/- s)``, clamped at zero.
-
-    Args:
-        f_s: Supply frequency in Hz.
-        s: Per-unit slip in [0, 1).
-        p: Pole pairs, >= 1.
-        k: Harmonic index, >= 1.
-
-    Returns:
-        (upper, lower) frequency pair in Hz.
-
-    Raises:
-        InvalidSlip: If s lies outside [0, 1).
-    """
-    if not 0 <= s < 1:
-        raise InvalidSlip(f"slip must lie in [0, 1), got {s}")
-    if k < 1 or p < 1:
-        raise InvalidConfigValue(f"k and p must be >= 1, got k={k}, p={p}")
-    base = k * (1.0 - s) / p
-    return max(0.0, f_s * (base + s)), max(0.0, f_s * (base - s))
-
-
 def brb_sidebands(f_s: float, s: float) -> tuple[float, float]:
     """Current sidebands ``(1 +/- 2s) * f_s`` flanking the supply line.
 
@@ -380,42 +356,6 @@ def generate_catalog(
     return recordings
 
 
-def _fault_to_json(fault: FaultSpec) -> dict:
-    return {
-        "kind": fault.kind,
-        "severity": fault.severity,
-        "subtype": fault.subtype,
-        "bar_count": fault.bar_count,
-        "site": fault.site,
-        "fv": fault.fv,
-    }
-
-
-def _fault_from_json(blob: dict) -> FaultSpec:
-    return FaultSpec(
-        kind=blob["kind"],
-        severity=blob["severity"],
-        subtype=blob.get("subtype"),
-        bar_count=blob.get("bar_count"),
-        site=blob.get("site"),
-        fv=blob.get("fv"),
-    )
-
-
-def machine_to_json(machine: MachineSpec) -> dict:
-    return {
-        "supply_frequency": machine.supply_frequency,
-        "pole_pairs": machine.pole_pairs,
-        "rated_current": machine.rated_current,
-        "sample_rate": machine.sample_rate,
-        "duration": machine.duration,
-    }
-
-
-def machine_from_json(blob: dict) -> MachineSpec:
-    return MachineSpec(**blob)
-
-
 def save_catalog(
     recordings: list[Recording],
     directory: str | Path,
@@ -445,16 +385,13 @@ def save_catalog(
             {
                 "name": rec.name,
                 "file": filename,
-                "fault": _fault_to_json(rec.label),
-                "operating_point": {
-                    "load_torque": rec.operating_point.load_torque,
-                    "slip": rec.operating_point.slip,
-                },
+                "fault": codec.to_json(rec.label),
+                "operating_point": codec.to_json(rec.operating_point),
                 "seed": rec.seed,
             }
         )
     manifest = {
-        "machine": machine_to_json(machine),
+        "machine": codec.to_json(machine),
         "seed": seed,
         "noise_snr_db": noise_snr_db,
         "recordings": entries,
@@ -475,7 +412,7 @@ def load_catalog(directory: str | Path) -> tuple[list[Recording], MachineSpec, d
     directory = Path(directory)
     with open(directory / "manifest.json") as fh:
         manifest = json.load(fh)
-    machine = machine_from_json(manifest["machine"])
+    machine = codec.from_json(MachineSpec, manifest["machine"], "machine")
     recordings = []
     for entry in manifest["recordings"]:
         data = np.loadtxt(directory / entry["file"], delimiter=",", skiprows=1)
@@ -484,8 +421,10 @@ def load_catalog(directory: str | Path) -> tuple[list[Recording], MachineSpec, d
             Recording(
                 channels=channels,
                 sample_rate=machine.sample_rate,
-                label=_fault_from_json(entry["fault"]),
-                operating_point=OperatingPoint(**entry["operating_point"]),
+                label=codec.from_json(FaultSpec, entry["fault"], "fault"),
+                operating_point=codec.from_json(
+                    OperatingPoint, entry["operating_point"], "operating_point"
+                ),
                 seed=entry["seed"],
                 name=entry["name"],
             )

@@ -248,7 +248,6 @@ def test_06_reweighting_identities():
 # 7. fault-frequency physics
 
 def test_07_fault_frequency_physics():
-    assert simulate.brb_frequency(50.0, 0.05, 2) == (26.25, 21.25)
     assert simulate.brb_sidebands(50.0, 0.05) == (55.0, 45.0)
     assert simulate.bearing_frequencies(50.0, 90.0, m_max=1) == {40.0, 140.0}
 

@@ -93,6 +93,45 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match="typo"):
             config_from_json({"typo": {}})
 
+    def test_misspelled_model_key_rejected(self):
+        # A typo must not silently train at the default learning rate.
+        with pytest.raises(InvalidConfig, match=r"model\.learnig_rate"):
+            config_from_json({"model": {"learnig_rate": 0.5}})
+
+    @pytest.mark.parametrize("section", sorted(set(config_to_json(config_from_json({}))) - {"seed"}))
+    def test_unknown_key_rejected_in_every_section(self, section):
+        with pytest.raises(InvalidConfig, match=rf"{section}\.bogus"):
+            config_from_json({section: {"bogus": 1}})
+
+    def test_every_key_round_trips(self):
+        defaults = config_to_json(config_from_json({}))
+        doc = {
+            "seed": 5,
+            "machine": {"supply_frequency": 60.0, "pole_pairs": 3, "rated_current": 12.5,
+                        "sample_rate": 12000.0, "duration": 2.0},
+            "simulate": {"replicates": 2, "noise_snr_db": None},
+            "window": {"window_len": 1024, "hop": 512},
+            "filter": None,
+            "augment": {"copies": 2, "max_shift_fraction": 0.2, "scale_range": [0.9, 1.1],
+                        "noise_fraction": 0.02},
+            "model": {"embed_dim": 16, "gcn1_dim": 8, "gcn2_dim": 12, "severity_dim": 4,
+                      "learning_rate": 0.05, "lr_schedule": "constant", "dropout_p": 0.25,
+                      "beta": 0.5, "epochs": 7, "batch_size": 3, "lambda_anomaly": 2.0,
+                      "lambda_severity": 0.5, "lambda_type": 1.5, "ablation": "no_reweight",
+                      "seed": 42, "severity_to_trunk": True, "severity_bins": 4},
+            "split": {"ratios": [0.6, 0.2, 0.2]},
+            "graph": {"neighbors": 2},
+            "paths": {"dataset_dir": "d", "checkpoint": "c.json", "out_dir": "o"},
+        }
+        assert doc.keys() == defaults.keys()
+        for section, values in defaults.items():
+            if isinstance(values, dict) and doc[section] is not None:
+                assert doc[section].keys() == values.keys()
+                assert all(doc[section][key] != values[key] for key in values), section
+            else:
+                assert doc[section] != values
+        assert config_to_json(config_from_json(doc)) == doc
+
     def test_flag_overrides_beat_file(self, tmp_path):
         path = write_config(tmp_path)
         config = load_config(path, {"seed": 99, "paths.out_dir": "elsewhere"})
@@ -352,6 +391,55 @@ class TestAblate:
 
 
 class TestErrors:
+    @staticmethod
+    def only_error_line(capsys) -> str:
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        return lines[0]
+
+    def test_non_numeric_scale_range(self, tmp_path, capsys):
+        config = write_config(tmp_path, extra={"augment": {"copies": 1, "scale_range": ["a", 1]}})
+        assert run(["train", "--config", config, "--quiet"]) == 1
+        assert self.only_error_line(capsys).startswith("[cli] InvalidConfig: augment.scale_range")
+
+    def test_null_model_seed(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        config = write_config(
+            tmp_path,
+            extra={
+                "model.seed": None,
+                "paths.dataset_dir": str(root / "data"),
+                "paths.out_dir": str(tmp_path / "run"),
+            },
+        )
+        assert run(["train", "--config", config, "--quiet"]) == 1
+        assert self.only_error_line(capsys).startswith("[cli] InvalidConfig: model.seed: ")
+
+    def test_checkpoint_config_with_unknown_key(self, workspace, tmp_path, capsys):
+        root, config = workspace
+        blob = json.loads((root / "run" / "model.json").read_text())
+        blob["config"]["bogus"] = 1
+        checkpoint = tmp_path / "model.json"
+        checkpoint.write_text(json.dumps(blob))
+        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
+        assert run(argv) == 1
+        assert self.only_error_line(capsys) == "[cli] InvalidConfig: config.bogus: unknown key"
+
+    @pytest.mark.parametrize("document", ["manifest", "list"])
+    def test_non_checkpoint_carries_package_tag(self, workspace, tmp_path, capsys, document):
+        root, config = workspace
+        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        checkpoint = root / "data" / "manifest.json"
+        if document == "list":
+            checkpoint = tmp_path / "list.json"
+            checkpoint.write_text("[1, 2]")
+        argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
+        assert run(argv) == 1
+        assert self.only_error_line(capsys) == (
+            "[gnnase] InvalidConfigValue: unrecognized checkpoint format None"
+        )
+
     def test_exit_zero_only_on_success(self, tmp_path, capsys):
         config = write_config(
             tmp_path, extra={"model.ablation": "bogus"}

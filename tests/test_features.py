@@ -27,9 +27,6 @@ class TestPeakAmplitude:
     def test_all_negative_window_keeps_sign(self):
         assert features.peak_amplitude([-3.0, -1.0, -2.0]) == -1.0
 
-    def test_absolute_variant(self):
-        assert features.peak_amplitude([-3.0, -1.0, -2.0], absolute=True) == 3.0
-
     def test_empty_rejected(self):
         with pytest.raises(EmptyWindow):
             features.peak_amplitude([])
@@ -200,20 +197,3 @@ class TestStandardizer:
         back = features.Standardizer.from_json(std.to_json())
         assert np.array_equal(back.mean, std.mean)
         assert np.array_equal(back.std, std.std)
-
-
-class TestFeatureTableCsv:
-    def test_round_trip(self, tmp_path):
-        rec = TestExtractWindows.recording()
-        spec = features.WindowSpec(window_len=256, hop=128)
-        table = features.extract_windows(rec, spec)
-        names = features.feature_names()
-        path = tmp_path / "features.csv"
-        features.save_feature_table(table, path, names)
-        back, names_back = features.load_feature_table(path)
-        assert names_back == names
-        assert len(back) == len(table)
-        for orig, loaded in zip(table, back):
-            assert loaded.source == orig.source
-            assert loaded.window_index == orig.window_index
-            assert np.array_equal(loaded.x, orig.x)

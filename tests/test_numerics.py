@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnnase import numerics
-from gnnase.errors import AsymmetricSpectrum, EmptySignal, NonFinite, ShapeMismatch
+from gnnase.errors import AsymmetricSpectrum, EmptySignal, NonFinite
 
 
 class TestDft:
@@ -70,27 +70,6 @@ class TestInverseDft:
         time_energy = np.sum(x**2)
         freq_energy = np.sum(np.abs(spec.bins) ** 2) / n
         assert abs(freq_energy - time_energy) <= 1e-9 * max(1.0, time_energy)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.arange(9.0).reshape(3, 3)
-        assert numerics.matmul(np.eye(3), a) == pytest.approx(a)
-
-    def test_hand_multiplication(self):
-        out = numerics.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0], [1.0]]))
-        assert out == pytest.approx(np.array([[2.0], [4.0]]))
-
-    def test_associativity(self):
-        rng = numerics.make_rng(3)
-        a, b, c = (rng.normal(size=(4, 4)) for _ in range(3))
-        left = numerics.matmul(numerics.matmul(a, b), c)
-        right = numerics.matmul(a, numerics.matmul(b, c))
-        assert np.max(np.abs(left - right)) < 1e-10
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            numerics.matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestFiniteDiffGrad:

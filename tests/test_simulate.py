@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gnnase import simulate
 from gnnase.errors import InvalidConfigValue, InvalidFv, InvalidSlip
@@ -21,33 +19,12 @@ def one_sided_magnitude(signal, sample_rate):
 
 
 class TestBrbFrequency:
-    def test_zero_slip_collapses_pair(self):
-        assert simulate.brb_frequency(50.0, 0.0, 1, 1) == (50.0, 50.0)
-
-    def test_hand_substitution(self):
-        upper, lower = simulate.brb_frequency(50.0, 0.05, 2, 1)
-        assert upper == pytest.approx(26.25)
-        assert lower == pytest.approx(21.25)
-
     def test_sidebands(self):
         assert simulate.brb_sidebands(50.0, 0.05) == pytest.approx((55.0, 45.0))
 
-    def test_negative_lower_clamped(self):
-        _, lower = simulate.brb_frequency(50.0, 0.9, 20, 1)
-        assert lower == 0.0
-
     def test_slip_out_of_range(self):
         with pytest.raises(InvalidSlip):
-            simulate.brb_frequency(50.0, 1.0, 2, 1)
-        with pytest.raises(InvalidSlip):
             simulate.brb_sidebands(50.0, -0.1)
-
-    @given(st.floats(min_value=0.0, max_value=0.99), st.integers(1, 4), st.integers(1, 3))
-    @settings(max_examples=50, deadline=None)
-    def test_pair_ordering_and_sign(self, s, p, k):
-        upper, lower = simulate.brb_frequency(50.0, s, p, k)
-        assert upper >= lower >= 0.0
-        assert upper == pytest.approx(max(0.0, 50.0 * (k * (1 - s) / p + s)))
 
 
 class TestBearingFrequencies:
