@@ -4,15 +4,12 @@ Every command reads one JSON config (flags override file values), echoes
 the fully resolved config into its output directory, and is byte-identical
 on rerun with the same config and seed. Errors print as
 ``[module] ErrorName: message`` on stderr and the exit code is 0 only on
-full success. The GNNASE_WORKERS environment variable caps worker threads
-for the parallel stages.
+full success.
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +19,6 @@ from .errors import (
     ChannelMismatch,
     DiagnosticsError,
     FeatureDimMismatch,
-    InvalidConfig,
     IoError,
     ParseError,
 )
@@ -48,22 +44,6 @@ from .simulate import (
     load_catalog,
     save_catalog,
 )
-
-WORKERS_ENV = "GNNASE_WORKERS"
-
-
-def worker_count() -> int:
-    """Worker threads to use, capped by the GNNASE_WORKERS variable."""
-    available = os.cpu_count() or 1
-    cap = os.environ.get(WORKERS_ENV)
-    if cap is None:
-        return available
-    try:
-        cap_value = int(cap)
-    except ValueError:
-        raise InvalidConfig(f"{WORKERS_ENV} must be an integer, got {cap!r}") from None
-    return max(1, min(available, cap_value))
-
 
 def _say(args, message: str, stream=None):
     if not args.quiet:
@@ -101,16 +81,9 @@ def cmd_simulate(args) -> int:
     out = Path(config.dataset_dir)
     _ensure_parent(out)
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        replicas = list(
-            pool.map(
-                lambda r: generate_catalog(config.machine, config.simulate_seed(r), config.noise_snr_db),
-                range(config.replicates),
-            )
-        )
     recordings = []
-    for r, catalog in enumerate(replicas):
-        for rec in catalog:
+    for r in range(config.replicates):
+        for rec in generate_catalog(config.machine, config.simulate_seed(r), config.noise_snr_db):
             if config.replicates > 1:
                 rec.name = f"{rec.name}-rep{r}"
             recordings.append(rec)
@@ -256,10 +229,11 @@ def read_recording_csv(path: str | Path) -> Recording:
 
     data = np.array(rows)
     dt = data[1, 0] - data[0, 0]
-    if dt <= 0:
+    if not dt > 0:
         raise ParseError("line 3: time column must be strictly increasing")
-    # Step k runs from data row k to row k + 1, which sits on line k + 3.
-    uneven = np.flatnonzero(np.abs(np.diff(data[:, 0]) - dt) > 1e-6 * dt)
+    # Step k runs from data row k to row k + 1, which sits on line k + 3; a
+    # NaN time fails the comparison and counts as uneven.
+    uneven = np.flatnonzero(~(np.abs(np.diff(data[:, 0]) - dt) <= 1e-6 * dt))
     if uneven.size:
         raise ParseError(
             f"line {uneven[0] + 3}: time step differs from the first step {float(dt)!r}; "

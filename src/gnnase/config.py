@@ -136,6 +136,8 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
             blob = json.loads(path.read_text())
         except json.JSONDecodeError as err:
             raise InvalidConfig(f"{path}: {err}") from err
+        if not isinstance(blob, dict):
+            raise InvalidConfig(f"config root must be an object, got {blob!r}")
     for dotted, value in (overrides or {}).items():
         parts = dotted.split(".")
         target = blob

@@ -16,19 +16,11 @@ class InvalidConfigValue(DiagnosticsError):
 
 # -- numerics ---------------------------------------------------------------
 
-class EmptySignal(DiagnosticsError):
-    module = "numerics"
-
-
 class NonFinite(DiagnosticsError):
     module = "numerics"
 
 
 class ShapeMismatch(DiagnosticsError):
-    module = "numerics"
-
-
-class AsymmetricSpectrum(DiagnosticsError):
     module = "numerics"
 
 
@@ -67,10 +59,6 @@ class EmptyWindow(DiagnosticsError):
 
 
 class NoSpectralContent(DiagnosticsError):
-    module = "features"
-
-
-class ZeroPower(DiagnosticsError):
     module = "features"
 
 

@@ -10,7 +10,9 @@ five features per channel, concatenated over channels in a fixed order:
 * spectral entropy of the normalized one-sided power spectrum, in nats.
 
 The DC bin is excluded from both frequency features: the mean level says
-nothing about a fault and would otherwise dominate the argmax.
+nothing about a fault and would otherwise dominate the argmax. All windows
+of a recording are featurized together, from one FFT over the stacked
+``(channels, windows, window_len)`` array.
 """
 
 from __future__ import annotations
@@ -18,15 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    EmptyWindow,
-    InvalidConfigValue,
-    NoSpectralContent,
-    RecordingTooShort,
-    ZeroPower,
-)
-from .numerics import dft
+from .errors import EmptyWindow, InvalidConfigValue, NoSpectralContent, RecordingTooShort
 from .simulate import CHANNEL_NAMES, Recording
 
 TIME_FEATURES = ("peak", "rms", "variance")
@@ -69,109 +65,53 @@ class WindowFeatures:
     source: str
 
 
-def peak_amplitude(window) -> float:
-    """Maximum sample value of the window.
-
-    This is the literal signed maximum, so an all-negative window has a
-    negative peak.
-
-    Raises:
-        EmptyWindow: If the window has no samples.
-    """
-    window = np.asarray(window, dtype=float)
-    if window.size == 0:
-        raise EmptyWindow("peak_amplitude needs at least one sample")
-    return float(np.max(window))
-
-
-def rms(window) -> float:
-    """Root of the mean squared sample value.
-
-    Raises:
-        EmptyWindow: If the window has no samples.
-    """
-    window = np.asarray(window, dtype=float)
-    if window.size == 0:
-        raise EmptyWindow("rms needs at least one sample")
-    return float(np.sqrt(np.mean(window**2)))
-
-
-def variance(window) -> float:
-    """Population variance (sum of squared deviations over T, not T-1).
-
-    Raises:
-        EmptyWindow: If the window has no samples.
-    """
-    window = np.asarray(window, dtype=float)
-    if window.size == 0:
-        raise EmptyWindow("variance needs at least one sample")
-    return float(np.var(window))
-
-
-def _one_sided_magnitudes(window, sample_rate: float):
-    spectrum = dft(window, sample_rate).to_one_sided()
-    freqs = spectrum.frequencies()
-    mags = np.abs(spectrum.bins)
-    # Drop DC; bin 0 carries the window mean, not fault content.
-    return freqs[1:], mags[1:]
-
-
-def dominant_frequency(window, sample_rate: float) -> float:
-    """Frequency of the strongest non-DC bin; ties go to the lowest bin.
-
-    Raises:
-        NoSpectralContent: If every non-DC bin is below 1e-12 in magnitude.
-    """
-    window = np.asarray(window, dtype=float)
-    if window.size < 4:
-        raise EmptyWindow(f"dominant_frequency needs at least 4 samples, got {window.size}")
-    freqs, mags = _one_sided_magnitudes(window, sample_rate)
-    if np.all(mags <= SPECTRAL_FLOOR):
-        raise NoSpectralContent("all non-DC bins are below the magnitude floor")
-    return float(freqs[int(np.argmax(mags))])
-
-
-def spectral_entropy(window, sample_rate: float = 1.0) -> float:
-    """Shannon entropy of the normalized one-sided power spectrum, in nats.
-
-    P(f_i) = |S(f_i)|^2 / sum_j |S(f_j)|^2 over non-DC bins; zero-power
-    bins contribute nothing (0 * log 0 = 0).
-
-    Raises:
-        ZeroPower: If the total non-DC power is zero.
-    """
-    window = np.asarray(window, dtype=float)
-    if window.size < 4:
-        raise EmptyWindow(f"spectral_entropy needs at least 4 samples, got {window.size}")
-    _, mags = _one_sided_magnitudes(window, sample_rate)
-    power = mags**2
-    total = float(np.sum(power))
-    if total <= 0.0:
-        raise ZeroPower("one-sided spectrum carries no power outside DC")
-    p = power / total
-    nonzero = p[p > 0.0]
-    return float(-np.sum(nonzero * np.log(nonzero)))
-
-
 def feature_names(channels=CHANNEL_NAMES, include_frequency: bool = True) -> list[str]:
     """Column names in extraction order: channel-major, feature-minor."""
     kinds = ALL_FEATURES if include_frequency else TIME_FEATURES
     return [f"{ch}_{kind}" for ch in channels for kind in kinds]
 
 
-def window_vector(
-    windows: dict[str, np.ndarray],
-    sample_rate: float,
-    include_frequency: bool = True,
-) -> np.ndarray:
-    """Concatenated features over channels for one aligned window set."""
-    parts = []
-    for key in CHANNEL_NAMES:
-        w = windows[key]
-        parts.extend([peak_amplitude(w), rms(w), variance(w)])
-        if include_frequency:
-            parts.extend([dominant_frequency(w, sample_rate), spectral_entropy(w, sample_rate)])
-    return np.array(parts, dtype=float)
+def window_features(windows, sample_rate: float, include_frequency: bool = True) -> np.ndarray:
+    """Feature matrix of a stack of aligned windows, one FFT for all of them.
+
+    Every feature is a reduction along the last axis, so a window's row does
+    not depend on which other windows share the call. Zero-power bins add
+    nothing to the entropy (0 * log 0 = 0); ties in the dominant frequency go
+    to the lowest bin.
+
+    Args:
+        windows: Array of shape (channels, windows, window_len).
+        sample_rate: Sampling frequency in Hz.
+        include_frequency: When False only the three time-domain features
+            are computed.
+
+    Returns:
+        Array of shape (windows, 5 * channels), or (windows, 3 * channels)
+        without frequency features, in ``feature_names`` order.
+
+    Raises:
+        NoSpectralContent: If every non-DC bin of some channel's window is
+            below 1e-12 in magnitude.
+    """
+    windows = np.asarray(windows, dtype=float)
+    columns = [
+        np.max(windows, axis=-1),
+        np.sqrt(np.mean(windows**2, axis=-1)),
+        np.var(windows, axis=-1),
+    ]
+    if include_frequency:
+        n = windows.shape[-1]
+        # One-sided magnitudes without DC; bin 0 carries the window mean, not fault content.
+        mags = np.abs(np.fft.fft(windows, axis=-1)[..., : n // 2 + 1])[..., 1:]
+        if np.any(np.all(mags <= SPECTRAL_FLOOR, axis=-1)):
+            raise NoSpectralContent("all non-DC bins are below the magnitude floor")
+        freqs = np.arange(n // 2 + 1) * sample_rate / n
+        columns.append(freqs[1:][np.argmax(mags, axis=-1)])
+        power = mags**2
+        p = power / np.sum(power, axis=-1, keepdims=True)
+        columns.append(-np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0.0), axis=-1))
+    # (channels, windows, features) -> (windows, channels * features).
+    return np.stack(columns, axis=-1).transpose(1, 0, 2).reshape(windows.shape[1], -1)
 
 
 def extract_windows(
@@ -196,17 +136,15 @@ def extract_windows(
 
     Raises:
         RecordingTooShort: If the recording is shorter than one window.
+        NonFinite: If any sample is NaN or infinite.
     """
-    n_windows = spec.count(recording.n_samples)
-    out = []
-    for w in range(n_windows):
-        start = w * spec.hop
-        sliced = {
-            key: sig[start : start + spec.window_len] for key, sig in recording.channels.items()
-        }
-        x = window_vector(sliced, recording.sample_rate, include_frequency)
-        out.append(WindowFeatures(x=x, window_index=w, source=recording.name))
-    return out
+    spec.count(recording.n_samples)  # raises RecordingTooShort
+    windows = sliding_window_view(recording.stacked(), spec.window_len, axis=-1)[:, :: spec.hop]
+    matrix = window_features(windows, recording.sample_rate, include_frequency)
+    return [
+        WindowFeatures(x=row, window_index=w, source=recording.name)
+        for w, row in enumerate(matrix)
+    ]
 
 
 @dataclass

@@ -63,6 +63,7 @@ ABLATIONS = ("full", "no_reweight", "no_severity", "no_freq_features")
 FREQ_NAME_MARKERS = ("f_dom", "h_spec")
 
 CHECKPOINT_FORMAT = "gnnase-checkpoint-v2"
+CHECKPOINT_KEYS = ("config", "params", "feature_dim", "epoch", "pipeline", "standardizer")
 
 
 @dataclass(frozen=True)
@@ -833,6 +834,9 @@ def load_checkpoint(
     found = blob.get("format") if isinstance(blob, dict) else None
     if found != CHECKPOINT_FORMAT:
         raise InvalidConfigValue(f"unrecognized checkpoint format {found!r}")
+    missing = [key for key in CHECKPOINT_KEYS if key not in blob]
+    if missing:
+        raise InvalidConfigValue(f"checkpoint lacks key(s): {', '.join(missing)}")
     config = codec.from_json(ModelConfig, blob["config"], "config")
     params = {
         name: np.array(entry["data"], dtype=float).reshape(entry["shape"])

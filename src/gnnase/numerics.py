@@ -1,109 +1,18 @@
 """Numerical kernel shared by the whole pipeline.
 
-Wraps the discrete Fourier transform (64-bit throughout), provides the
-counter-based seeded random generator that makes dataset synthesis
-bit-reproducible, and houses the central-difference gradient checker used
-to validate every analytic gradient in the model.
+Provides the counter-based seeded random generator that makes dataset
+synthesis bit-reproducible, and houses the central-difference gradient
+checker used to validate every analytic gradient in the model.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import AsymmetricSpectrum, EmptySignal, NonFinite, ShapeMismatch
-
-
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """Discrete Fourier transform of a real signal.
-
-    Attributes:
-        bins: Complex DFT coefficients. Length n for a two-sided spectrum,
-            n // 2 + 1 when ``one_sided`` is set.
-        sample_rate: Sampling frequency of the original signal in Hz.
-        n: Original sample count.
-        one_sided: Whether ``bins`` holds only the nonnegative frequencies.
-    """
-
-    bins: np.ndarray
-    sample_rate: float
-    n: int
-    one_sided: bool = False
-
-    def __post_init__(self):
-        expected = self.n // 2 + 1 if self.one_sided else self.n
-        if len(self.bins) != expected:
-            raise ShapeMismatch(
-                f"spectrum has {len(self.bins)} bins, expected {expected}"
-            )
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
-
-    def frequencies(self) -> np.ndarray:
-        """Frequency in Hz of each bin (negative half unwrapped for two-sided)."""
-        if self.one_sided:
-            return np.arange(self.n // 2 + 1) * self.sample_rate / self.n
-        return np.fft.fftfreq(self.n, d=1.0 / self.sample_rate)
-
-    def to_one_sided(self) -> "ComplexSpectrum":
-        if self.one_sided:
-            return self
-        return ComplexSpectrum(
-            bins=self.bins[: self.n // 2 + 1].copy(),
-            sample_rate=self.sample_rate,
-            n=self.n,
-            one_sided=True,
-        )
-
-
-def dft(signal: np.ndarray, sample_rate: float) -> ComplexSpectrum:
-    """Two-sided DFT: bin k equals sum_n x_n * exp(-2*pi*i*k*n/N).
-
-    Args:
-        signal: Real sequence, length >= 2, all entries finite.
-        sample_rate: Sampling frequency in Hz.
-
-    Raises:
-        EmptySignal: If the signal has fewer than 2 samples.
-        NonFinite: If any sample is NaN or infinite.
-    """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1 or len(x) < 2:
-        raise EmptySignal(f"signal must be a 1-D sequence of length >= 2, got length {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise NonFinite("signal contains NaN or infinite samples")
-    return ComplexSpectrum(bins=np.fft.fft(x), sample_rate=float(sample_rate), n=len(x))
-
-
-def inverse_dft(spectrum: ComplexSpectrum, tol: float = 1e-9) -> np.ndarray:
-    """Inverse DFT of a conjugate-symmetric two-sided spectrum.
-
-    Args:
-        spectrum: Two-sided transform of a real signal.
-        tol: Allowed conjugate-symmetry violation, relative to the largest
-            bin magnitude (floor 1.0).
-
-    Returns:
-        The length-n real sequence whose DFT is ``spectrum``.
-
-    Raises:
-        AsymmetricSpectrum: If conjugate symmetry is violated beyond ``tol``.
-    """
-    if spectrum.one_sided:
-        raise AsymmetricSpectrum("inverse_dft requires a two-sided spectrum")
-    bins = spectrum.bins
-    mirrored = np.conj(bins[(-np.arange(spectrum.n)) % spectrum.n])
-    scale = max(1.0, float(np.max(np.abs(bins))))
-    worst = float(np.max(np.abs(bins - mirrored)))
-    if worst > tol * scale:
-        raise AsymmetricSpectrum(
-            f"spectrum violates conjugate symmetry by {worst:.3e} (tol {tol * scale:.3e})"
-        )
-    return np.fft.ifft(bins).real
+from .errors import NonFinite
 
 
 def finite_diff_grad(

@@ -193,6 +193,17 @@ class Recording:
     def n_samples(self) -> int:
         return len(next(iter(self.channels.values())))
 
+    def stacked(self) -> np.ndarray:
+        """Channels as one (channels, samples) array in CHANNEL_NAMES order.
+
+        Raises:
+            NonFinite: If any sample is NaN or infinite.
+        """
+        signals = np.stack([self.channels[key] for key in CHANNEL_NAMES])
+        if not np.all(np.isfinite(signals)):
+            raise NonFinite(f"recording {self.name} holds NaN or infinite samples")
+        return signals
+
 
 def brb_sidebands(f_s: float, s: float) -> tuple[float, float]:
     """Current sidebands ``(1 +/- 2s) * f_s`` flanking the supply line.

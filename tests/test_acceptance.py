@@ -19,15 +19,9 @@ import pytest
 from gnnase import cli, model, simulate
 from gnnase import evaluate as ev
 from gnnase.config import config_from_json
-from gnnase.features import (
-    WindowFeatures,
-    dominant_frequency,
-    rms,
-    spectral_entropy,
-    variance,
-)
+from gnnase.features import ALL_FEATURES, WindowFeatures, window_features
 from gnnase.graphs import NodeTargets, build_graph, edge_weight
-from gnnase.numerics import derive_seed, dft, finite_diff_grad, inverse_dft, make_rng
+from gnnase.numerics import derive_seed, finite_diff_grad, make_rng
 from gnnase.preprocess import FilterSpec, butterworth_filter
 
 FAMILIES = ("eccentricity", "bar_breakage", "bearing")
@@ -52,8 +46,18 @@ def default_run():
 
 
 def _one_sided(signal, sample_rate):
-    spectrum = dft(np.asarray(signal, dtype=float), sample_rate).to_one_sided()
-    return spectrum.frequencies(), np.abs(spectrum.bins)
+    signal = np.asarray(signal, dtype=float)
+    return np.fft.rfftfreq(len(signal), d=1.0 / sample_rate), np.abs(np.fft.rfft(signal))
+
+
+def _features(signal, sample_rate):
+    """Named features of one single-channel window."""
+    window = np.asarray(signal, dtype=float)[None, None, :]
+    return dict(zip(ALL_FEATURES, window_features(window, sample_rate)[0]))
+
+
+def _rms(signal):
+    return float(np.sqrt(np.mean(np.square(signal))))
 
 
 def _random_graph(n, d, seed):
@@ -88,17 +92,17 @@ def test_01_feature_oracles():
     fs, n = 1024.0, 1024
     t = np.arange(n) / fs
     sine = np.sin(2.0 * np.pi * 8.0 * t)  # whole number of periods
-    assert rms(sine) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
+    assert _features(sine, fs)["rms"] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
 
-    assert variance([1, 2, 3, 4]) == 1.25
+    assert _features([1, 2, 3, 4], 4.0)["variance"] == 1.25
 
-    assert spectral_entropy(sine, fs) == pytest.approx(0.0, abs=1e-9)
+    assert _features(sine, fs)["h_spec"] == pytest.approx(0.0, abs=1e-9)
     two_bins = np.cos(2.0 * np.pi * 8.0 * t) + np.cos(2.0 * np.pi * 16.0 * t)
-    assert spectral_entropy(two_bins, fs) == pytest.approx(np.log(2.0), abs=1e-9)
+    assert _features(two_bins, fs)["h_spec"] == pytest.approx(np.log(2.0), abs=1e-9)
 
     fs2, n2 = 1000.0, 1000
     tone = np.cos(2.0 * np.pi * 50.0 * np.arange(n2) / fs2)
-    assert dominant_frequency(tone, fs2) == 50.0
+    assert _features(tone, fs2)["f_dom"] == 50.0
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -106,17 +110,31 @@ def test_01_feature_oracles():
 # 2. transform round-trip and energy conservation
 
 def test_02_dft_round_trip_and_parseval():
+    """The filter's FFT pair against an explicit exp(-2*pi*i*k*n/N) sum."""
     t0 = time.perf_counter()
     rng = make_rng(derive_seed(0, "acceptance", "dft"))
+    spec = FilterSpec(cutoff=0.2, order=4)
     worst_round_trip = 0.0
     worst_parseval = 0.0
     for n in range(2, 1025):
         x = rng.normal(size=n)
-        spectrum = dft(x, 1.0)
-        back = inverse_dft(spectrum)
-        worst_round_trip = max(worst_round_trip, float(np.max(np.abs(back - x))))
-        time_energy = float(np.sum(x * x))
-        freq_energy = float(np.sum(np.abs(spectrum.bins) ** 2)) / n
+        k = np.arange(n // 2 + 1)
+        m = np.arange(n)
+        # Bins 0..N/2 of exp(-2*pi*i*k*m/N) = cos - i*sin of 2*pi*(k*m mod N)/N,
+        # looked up in exact tables; bin N-k is the conjugate of bin k.
+        angle = 2.0 * np.pi * m / n
+        index = np.outer(k, m) % n
+        cos, sin = np.take(np.cos(angle), index), np.take(np.sin(angle), index)
+        gain = spec.magnitude(k / n)  # |f_k| at a 1 Hz sample rate
+        re, im = gain * (cos @ x), -gain * (sin @ x)
+        # Every bin but DC and Nyquist stands for itself and its conjugate.
+        pairs = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+        # x_m = (1/N) sum_k X_k exp(+2*pi*i*k*m/N), summed over conjugate pairs:
+        oracle = ((pairs * re) @ cos - (pairs * im) @ sin) / n
+        filtered = butterworth_filter(x, 1.0, spec)
+        worst_round_trip = max(worst_round_trip, float(np.max(np.abs(filtered - oracle))))
+        time_energy = float(np.sum(filtered * filtered))
+        freq_energy = float(np.sum(pairs * (re * re + im * im))) / n
         worst_parseval = max(worst_parseval, abs(time_energy - freq_energy))
     assert worst_round_trip < 1e-9
     assert worst_parseval < 1e-9
@@ -133,14 +151,14 @@ def test_03_filter_contract():
     spec = FilterSpec(cutoff=100.0, order=4)
 
     at_cutoff = np.cos(2.0 * np.pi * 100.0 * t)
-    gain = rms(butterworth_filter(at_cutoff, fs, spec)) / rms(at_cutoff)
+    gain = _rms(butterworth_filter(at_cutoff, fs, spec)) / _rms(at_cutoff)
     assert gain == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-3)
 
     dc = butterworth_filter(np.ones(n), fs, spec)
     assert float(np.max(np.abs(dc - 1.0))) < 1e-9
 
     far = np.cos(2.0 * np.pi * 1000.0 * t)  # 10x the cutoff
-    assert rms(butterworth_filter(far, fs, spec)) / rms(far) < 1e-4
+    assert _rms(butterworth_filter(far, fs, spec)) / _rms(far) < 1e-4
     assert time.perf_counter() - t0 < 1.0
 
 

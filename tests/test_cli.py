@@ -1,7 +1,6 @@
 """End-to-end tests for the command-line pipeline on a small machine."""
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 from gnnase import cli
 from gnnase.config import config_from_json, config_to_json, load_config
 from gnnase.errors import ChannelMismatch, InvalidConfig, InvalidConfigValue, ParseError
+from gnnase.model import CHECKPOINT_FORMAT, CHECKPOINT_KEYS
 
 # Small signals keep the full pipeline under a second per command: 2 kHz
 # for 0.5 s gives 1000 samples and six 256-sample windows per recording.
@@ -200,13 +200,6 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "[cli] IoError" in err and "no" in err
 
-    def test_workers_env_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "1")
-        assert cli.worker_count() == 1
-        monkeypatch.setenv(cli.WORKERS_ENV, "junk")
-        with pytest.raises(InvalidConfig):
-            cli.worker_count()
-
 
 class TestTrain:
     def test_outputs_exist(self, workspace):
@@ -344,6 +337,16 @@ class TestDiagnose:
         with pytest.raises(ParseError, match="line 502"):
             cli.read_recording_csv(bad)
 
+    def test_nan_time_stamp_names_line(self, workspace, tmp_path):
+        root, _ = workspace
+        source = sorted((root / "data").glob("healthy-*.csv"))[0]
+        lines = source.read_text().strip().split("\n")
+        lines[301] = "nan," + lines[301].split(",", 1)[1]  # line 302
+        bad = tmp_path / "nan_time.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 302"):
+            cli.read_recording_csv(bad)
+
     def test_channel_mismatch(self, workspace, tmp_path, capsys):
         root, config = workspace
         source = sorted((root / "data").glob("healthy-*.csv"))[0]
@@ -439,6 +442,59 @@ class TestErrors:
         assert self.only_error_line(capsys) == (
             "[gnnase] InvalidConfigValue: unrecognized checkpoint format None"
         )
+
+    def test_non_object_config_with_flag_override(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text("[1]")
+        assert run(["simulate", "--config", config, "--seed", 1, "--quiet"]) == 1
+        assert self.only_error_line(capsys) == (
+            "[cli] InvalidConfig: config root must be an object, got [1]"
+        )
+
+    @pytest.mark.parametrize("key", CHECKPOINT_KEYS)
+    def test_checkpoint_missing_key_named(self, workspace, tmp_path, capsys, key):
+        root, config = workspace
+        blob = json.loads((root / "run" / "model.json").read_text())
+        del blob[key]
+        checkpoint = tmp_path / "model.json"
+        checkpoint.write_text(json.dumps(blob))
+        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
+        assert run(argv) == 1
+        assert self.only_error_line(capsys) == (
+            f"[gnnase] InvalidConfigValue: checkpoint lacks key(s): {key}"
+        )
+
+    def test_format_tag_alone_is_not_a_checkpoint(self, workspace, tmp_path, capsys):
+        root, config = workspace
+        checkpoint = tmp_path / "model.json"
+        checkpoint.write_text(json.dumps({"format": CHECKPOINT_FORMAT}))
+        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
+        assert run(argv) == 1
+        assert self.only_error_line(capsys) == (
+            "[gnnase] InvalidConfigValue: checkpoint lacks key(s): " + ", ".join(CHECKPOINT_KEYS)
+        )
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("filtered", [True, False], ids=["filter", "no_filter"])
+    def test_non_finite_sample_rejected(self, workspace, tmp_path, capsys, value, filtered):
+        root, config = workspace
+        checkpoint = root / "run" / "model.json"
+        if not filtered:
+            blob = json.loads(checkpoint.read_text())
+            blob["pipeline"]["filter"] = None
+            checkpoint = tmp_path / "model.json"
+            checkpoint.write_text(json.dumps(blob))
+        source = sorted((root / "data").glob("healthy-*.csv"))[0]
+        lines = source.read_text().strip().split("\n")
+        t, a, rest = lines[300].split(",", 2)
+        lines[300] = f"{t},{value},{rest}"
+        bad = tmp_path / "nonfinite.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = ["diagnose", "--config", config, bad, "--checkpoint", checkpoint, "--quiet"]
+        assert run(argv) == 1
+        assert self.only_error_line(capsys).startswith("[numerics] NonFinite: ")
 
     def test_exit_zero_only_on_success(self, tmp_path, capsys):
         config = write_config(

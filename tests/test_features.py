@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnnase import features, preprocess, simulate
-from gnnase.errors import EmptyWindow, NoSpectralContent, RecordingTooShort, ZeroPower
+from gnnase.errors import InvalidConfigValue, NoSpectralContent, RecordingTooShort
 from gnnase.numerics import make_rng
 
 
@@ -15,92 +15,127 @@ def sine(freq, sample_rate, duration, amplitude=1.0):
     return amplitude * np.sin(2 * np.pi * freq * t)
 
 
+def feats(window, sample_rate=1.0, include_frequency=True):
+    """Named features of one single-channel window, through window_features."""
+    window = np.asarray(window, dtype=float)[None, None, :]
+    row = features.window_features(window, sample_rate, include_frequency)[0]
+    kinds = features.ALL_FEATURES if include_frequency else features.TIME_FEATURES
+    return dict(zip(kinds, row))
+
+
+def peak(window):
+    return feats(window, include_frequency=False)["peak"]
+
+
+def rms(window):
+    return feats(window, include_frequency=False)["rms"]
+
+
+def variance(window):
+    return feats(window, include_frequency=False)["variance"]
+
+
+def dominant_frequency(window, sample_rate):
+    return feats(window, sample_rate)["f_dom"]
+
+
+def spectral_entropy(window, sample_rate=1.0):
+    return feats(window, sample_rate)["h_spec"]
+
+
 class TestPeakAmplitude:
     def test_constant(self):
-        assert features.peak_amplitude([2.5, 2.5, 2.5]) == 2.5
+        assert peak([2.5, 2.5, 2.5]) == 2.5
 
     def test_unit_sine_hits_crest(self):
         # 10000 samples over one period: sample 2500 sits exactly on the crest.
         x = sine(1.0, 10_000.0, 1.0)
-        assert features.peak_amplitude(x) == pytest.approx(1.0, abs=1e-6)
+        assert peak(x) == pytest.approx(1.0, abs=1e-6)
 
     def test_all_negative_window_keeps_sign(self):
-        assert features.peak_amplitude([-3.0, -1.0, -2.0]) == -1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyWindow):
-            features.peak_amplitude([])
+        assert peak([-3.0, -1.0, -2.0]) == -1.0
 
 
 class TestRms:
     def test_constant_gives_magnitude(self):
-        assert features.rms([-2.0, -2.0]) == 2.0
+        assert rms([-2.0, -2.0]) == 2.0
 
     def test_unit_sine_whole_periods(self):
         x = sine(5.0, 1000.0, 1.0)
-        assert features.rms(x) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
+        assert rms(x) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
 
     def test_hand_arithmetic(self):
-        assert features.rms([3.0, 4.0]) == pytest.approx(np.sqrt(12.5))
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyWindow):
-            features.rms([])
+        assert rms([3.0, 4.0]) == pytest.approx(np.sqrt(12.5))
 
 
 class TestVariance:
     def test_constant_is_zero(self):
-        assert features.variance([7.0, 7.0, 7.0]) == 0.0
+        assert variance([7.0, 7.0, 7.0]) == 0.0
 
     def test_hand_arithmetic(self):
-        assert features.variance([1.0, 2.0, 3.0, 4.0]) == pytest.approx(1.25)
+        assert variance([1.0, 2.0, 3.0, 4.0]) == pytest.approx(1.25)
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=30, deadline=None)
     def test_identity_with_rms_and_mean(self, seed):
         x = make_rng(seed).normal(size=64)
-        lhs = features.variance(x)
-        rhs = features.rms(x) ** 2 - float(np.mean(x)) ** 2
+        lhs = variance(x)
+        rhs = rms(x) ** 2 - float(np.mean(x)) ** 2
         assert abs(lhs - rhs) < 1e-12
 
 
 class TestDominantFrequency:
     def test_bin_aligned_tone(self):
-        assert features.dominant_frequency(sine(50.0, 1000.0, 1.0), 1000.0) == 50.0
+        assert dominant_frequency(sine(50.0, 1000.0, 1.0), 1000.0) == 50.0
 
     def test_constant_has_no_content(self):
         with pytest.raises(NoSpectralContent):
-            features.dominant_frequency(np.full(64, 3.0), 64.0)
+            dominant_frequency(np.full(64, 3.0), 64.0)
 
     def test_larger_component_wins(self):
         x = sine(50.0, 1000.0, 1.0, 1.0) + sine(120.0, 1000.0, 1.0, 0.3)
-        assert features.dominant_frequency(x, 1000.0) == 50.0
+        assert dominant_frequency(x, 1000.0) == 50.0
 
     def test_tie_breaks_low(self):
         # Impulse spectrum is exactly flat, so every non-DC bin ties.
-        assert features.dominant_frequency([2.0, 0.0, 0.0, 0.0], 4.0) == 1.0
+        assert dominant_frequency([2.0, 0.0, 0.0, 0.0], 4.0) == 1.0
 
     def test_dc_excluded(self):
         x = sine(50.0, 1000.0, 1.0) + 100.0
-        assert features.dominant_frequency(x, 1000.0) == 50.0
+        assert dominant_frequency(x, 1000.0) == 50.0
 
 
 class TestSpectralEntropy:
     def test_pure_tone_is_zero(self):
-        assert features.spectral_entropy(sine(50.0, 1000.0, 1.0)) == pytest.approx(0.0, abs=1e-9)
+        assert spectral_entropy(sine(50.0, 1000.0, 1.0)) == pytest.approx(0.0, abs=1e-9)
 
     def test_two_equal_bins_give_ln2(self):
         # Impulse of length 4: one-sided non-DC bins carry equal power.
-        assert features.spectral_entropy([2.0, 0.0, 0.0, 0.0]) == pytest.approx(np.log(2.0))
+        assert spectral_entropy([2.0, 0.0, 0.0, 0.0]) == pytest.approx(np.log(2.0))
 
     def test_white_noise_near_uniform(self):
         x = make_rng(17).normal(size=1024)
-        h = features.spectral_entropy(x)
+        h = spectral_entropy(x)
         assert abs(h - np.log(512.0)) <= 0.15 * np.log(512.0)
 
     def test_zero_signal_rejected(self):
-        with pytest.raises(ZeroPower):
-            features.spectral_entropy(np.zeros(16))
+        with pytest.raises(NoSpectralContent):
+            spectral_entropy(np.zeros(16))
+
+
+class TestWindowFeatures:
+    def test_columns_channel_major(self):
+        tone = sine(50.0, 1000.0, 1.0)
+        windows = np.stack([tone, 2.0 * tone])[:, None, :]
+        row = features.window_features(windows, 1000.0)[0]
+        assert row.shape == (10,)
+        assert row[5] == pytest.approx(2.0 * row[0]) and row[8] == row[3] == 50.0
+
+    def test_one_constant_channel_rejected(self):
+        windows = np.stack([sine(50.0, 1000.0, 1.0), np.full(1000, 3.0)])[:, None, :]
+        with pytest.raises(NoSpectralContent):
+            features.window_features(windows, 1000.0)
+        assert features.window_features(windows, 1000.0, include_frequency=False).shape == (1, 6)
 
 
 class TestExtractWindows:
@@ -130,6 +165,10 @@ class TestExtractWindows:
         assert full[0].x.shape == (20,)
         assert time_only[0].x.shape == (12,)
 
+    def test_window_below_sixteen_samples_rejected(self):
+        with pytest.raises(InvalidConfigValue):
+            features.WindowSpec(window_len=15, hop=8)
+
     def test_too_short_rejected(self):
         rec = self.recording(duration=0.1)  # L = 200
         with pytest.raises(RecordingTooShort):
@@ -157,23 +196,41 @@ class TestExtractWindows:
 class TestShiftAndScaleInvariance:
     def test_full_window_spectral_features_shift_invariant(self):
         x = sine(50.0, 1000.0, 1.0) + sine(120.0, 1000.0, 1.0, 0.4)
-        shifted = preprocess.time_shift(x, 137)
-        assert features.dominant_frequency(shifted, 1000.0) == features.dominant_frequency(x, 1000.0)
-        assert features.spectral_entropy(shifted) == pytest.approx(
-            features.spectral_entropy(x), abs=1e-9
-        )
-        assert features.rms(shifted) == pytest.approx(features.rms(x), abs=1e-9)
-        assert features.variance(shifted) == pytest.approx(features.variance(x), abs=1e-9)
+        base, moved = feats(x, 1000.0), feats(preprocess.time_shift(x, 137), 1000.0)
+        assert moved["f_dom"] == base["f_dom"]
+        assert moved["h_spec"] == pytest.approx(base["h_spec"], abs=1e-9)
+        assert moved["rms"] == pytest.approx(base["rms"], abs=1e-9)
+        assert moved["variance"] == pytest.approx(base["variance"], abs=1e-9)
 
     def test_scale_maps_features_homogeneously(self):
         x = sine(50.0, 1000.0, 1.0) + 0.1 * make_rng(5).normal(size=1000)
-        scaled = preprocess.amplitude_scale(x, 3.0)
-        assert features.rms(scaled) == pytest.approx(3.0 * features.rms(x), rel=1e-12)
-        assert features.variance(scaled) == pytest.approx(9.0 * features.variance(x), rel=1e-12)
-        assert features.dominant_frequency(scaled, 1000.0) == features.dominant_frequency(x, 1000.0)
-        assert features.spectral_entropy(scaled) == pytest.approx(
-            features.spectral_entropy(x), abs=1e-9
-        )
+        base, scaled = feats(x, 1000.0), feats(preprocess.amplitude_scale(x, 3.0), 1000.0)
+        assert scaled["rms"] == pytest.approx(3.0 * base["rms"], rel=1e-12)
+        assert scaled["variance"] == pytest.approx(9.0 * base["variance"], rel=1e-12)
+        assert scaled["f_dom"] == base["f_dom"]
+        assert scaled["h_spec"] == pytest.approx(base["h_spec"], abs=1e-9)
+
+
+class TestBatchInvariance:
+    """A window's features do not depend on the windows featurized with it."""
+
+    @pytest.mark.parametrize("duration", [1.0, 4.0])
+    @pytest.mark.parametrize("filtered", [False, True], ids=["raw", "filtered"])
+    def test_rows_equal_single_window_bit_for_bit(self, duration, filtered):
+        machine = simulate.MachineSpec(duration=duration)
+        fault = simulate.FaultSpec(kind="bearing", severity=0.5, site="outer")
+        rec = simulate.synthesize(machine, simulate.OperatingPoint.from_load(30.0), fault, 30.0, 21)
+        if filtered:
+            rec = preprocess.filter_recording(rec, preprocess.FilterSpec())
+        spec = features.WindowSpec()
+        rows = features.extract_windows(rec, spec)
+        signals = rec.stacked()
+        assert len(rows) == spec.count(rec.n_samples)
+        for w, row in enumerate(rows):
+            start = w * spec.hop
+            window = signals[:, None, start : start + spec.window_len]
+            alone = features.window_features(window, rec.sample_rate)[0]
+            assert row.x.tobytes() == alone.tobytes()
 
 
 class TestStandardizer:
