@@ -1,11 +1,11 @@
 """JSON codec derived from the fields of the settings dataclasses.
 
 Encoding is ``dataclasses.asdict`` with tuples written as lists. Decoding
-walks the type hints of the target dataclass: int, float, str, ``X | None``,
-fixed-length tuples and nested dataclasses are checked here (an int is
-accepted for a float, a bool is not accepted as a number); bool fields pass
-through to the dataclass's own check. Unknown keys are rejected, and every
-error is an InvalidConfig naming the key path.
+walks the type hints of the target dataclass: bool, int, float, str,
+``X | None``, fixed-length tuples and nested dataclasses are checked here
+(an int is accepted for a float, a bool is not accepted as a number, and
+only a JSON boolean is accepted as a bool). Unknown keys are rejected, and
+every error is an InvalidConfig naming the key path.
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ def from_json(cls, blob, path: str = ""):
 def decode(hint, value, path: str):
     """Check one JSON value against a type hint and convert it."""
     if hint is bool:
+        if not isinstance(value, bool):
+            raise InvalidConfig(f"{path}: expected a boolean, got {value!r}")
         return value
     if dataclasses.is_dataclass(hint):
         return from_json(hint, value, path)

@@ -1,11 +1,11 @@
 """The GNN-ASE network with hand-written analytic gradients.
 
 Architecture: linear embedding -> graph convolution (ReLU) -> dropout ->
-graph convolution (ReLU) -> three heads (anomaly sigmoid, severity
-ReLU-MLP, type softmax). Aggregation multiplies by the dense normalized
-adjacency D^-1/2 (A + I) D^-1/2: each edge weight is divided by the
-square root of both endpoints' weighted degrees, with a weight-1 self-loop
-added per node.
+graph convolution (ReLU) -> three heads (anomaly sigmoid, severity MLP
+with a softmax over SEVERITY_BINS bins, type softmax). Aggregation
+multiplies by the dense normalized adjacency D^-1/2 (A + I) D^-1/2: each
+edge weight is divided by the square root of both endpoints' weighted
+degrees, with a weight-1 self-loop added per node.
 
 One kernel serves every caller. A minibatch of graphs is one
 block-diagonal graph: node features are stacked, one adjacency is built
@@ -18,18 +18,18 @@ loss_and_grads, loss_value, gcn_layer, reweight_edges) run the same
 kernel on a one-graph block.
 
 Training is plain seeded SGD on a multi-task loss: binary cross-entropy
-for anomaly, mean squared error for severity, cross-entropy over fault
+for anomaly, cross-entropy over severity bins, cross-entropy over fault
 classes masked to anomalous nodes. After each epoch the edge weights of
 every training graph are blended toward the cosine similarity of the
 first convolution's hidden vectors (dynamic edge reweighting), computed
 over all edges of a batch_size block of graphs at once; weights are
 constants as far as the gradients are concerned.
 
-The severity branch reads the trunk output but its loss gradient stops
-there by default: the trunk is trained by the detection losses alone, so
-removing the severity head (the no_severity ablation) cannot change
-anomaly or type behavior. Set severity_to_trunk=True for a fully coupled
-multi-task trunk instead.
+The severity head classifies each node into one of SEVERITY_BINS equal
+bins of [0, 1] and scores it as the expected bin centre. It reads the
+trunk output but its loss gradient stops there: the trunk is trained by
+the detection losses alone, so removing the severity head (the
+no_severity ablation) cannot change anomaly or type behavior.
 """
 
 from __future__ import annotations
@@ -62,8 +62,13 @@ ABLATIONS = ("full", "no_reweight", "no_severity", "no_freq_features")
 # variant must not see them.
 FREQ_NAME_MARKERS = ("f_dom", "h_spec")
 
-CHECKPOINT_FORMAT = "gnnase-checkpoint-v2"
+CHECKPOINT_FORMAT = "gnnase-checkpoint-v3"
 CHECKPOINT_KEYS = ("config", "params", "feature_dim", "epoch", "pipeline", "standardizer")
+
+# The severity head is a softmax over equal bins of [0, 1]; a node's
+# severity score is its expected bin centre. Severity 1.0 falls in the top bin.
+SEVERITY_BINS = 4
+SEVERITY_CENTERS = (np.arange(SEVERITY_BINS) + 0.5) / SEVERITY_BINS
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,8 @@ class ModelConfig:
     severity_dim: int = 32
     learning_rate: float = 0.01
     # "cosine" anneals the step size from learning_rate to ~0 across the run;
-    # "constant" keeps it fixed. Annealing settles the severity regression,
-    # which otherwise wanders under late-epoch SGD noise.
+    # "constant" keeps it fixed. Annealing settles the heads, which otherwise
+    # wander under late-epoch SGD noise.
     lr_schedule: str = "cosine"
     dropout_p: float = 0.5
     beta: float = 0.3
@@ -88,14 +93,13 @@ class ModelConfig:
     lambda_type: float = 1.0
     ablation: str = "full"
     seed: int = 0
-    # When True the severity loss trains the shared trunk too; the default
-    # keeps the trunk independent so no_severity is output-identical.
-    severity_to_trunk: bool = False
-    # 0 = scalar ReLU regression head; > 0 switches the severity head to a
-    # softmax over this many severity bins.
-    severity_bins: int = 0
 
     def __post_init__(self):
+        if min(self.embed_dim, self.gcn1_dim, self.gcn2_dim, self.severity_dim) < 1:
+            raise InvalidConfigValue(
+                "embed_dim, gcn1_dim, gcn2_dim and severity_dim must be >= 1, got "
+                f"{self.embed_dim}, {self.gcn1_dim}, {self.gcn2_dim}, {self.severity_dim}"
+            )
         if not 0.0 <= self.beta <= 1.0:
             raise InvalidConfigValue(f"beta must lie in [0, 1], got {self.beta}")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -114,16 +118,6 @@ class ModelConfig:
             raise InvalidConfigValue(
                 f"epochs must be >= 0 and batch_size >= 1, got {self.epochs}, {self.batch_size}"
             )
-        if self.severity_bins < 0:
-            raise InvalidConfigValue(f"severity_bins must be >= 0, got {self.severity_bins}")
-        if not isinstance(self.severity_to_trunk, bool):
-            raise InvalidConfigValue(
-                f"severity_to_trunk must be a boolean, got {self.severity_to_trunk!r}"
-            )
-
-    @property
-    def severity_out_dim(self) -> int:
-        return self.severity_bins if self.severity_bins > 0 else 1
 
 
 @dataclass
@@ -175,8 +169,8 @@ def _param_specs(feature_dim: int, config: ModelConfig) -> list[tuple[str, tuple
         ("b_anom", (1,)),
         ("W_sev1", (config.gcn2_dim, config.severity_dim)),
         ("b_sev1", (config.severity_dim,)),
-        ("W_sev2", (config.severity_dim, config.severity_out_dim)),
-        ("b_sev2", (config.severity_out_dim,)),
+        ("W_sev2", (config.severity_dim, SEVERITY_BINS)),
+        ("b_sev2", (SEVERITY_BINS,)),
         ("W_type", (config.gcn2_dim, len(TYPE_CLASSES))),
         ("b_type", (len(TYPE_CLASSES),)),
     ]
@@ -335,12 +329,8 @@ def _forward_cache(
         cache["zs1"] = sev_in @ params["W_sev1"] + params["b_sev1"]
         cache["S1"] = np.maximum(cache["zs1"], 0.0)
         cache["zs2"] = cache["S1"] @ params["W_sev2"] + params["b_sev2"]
-        if config.severity_bins > 0:
-            cache["sev_probs"] = _softmax(cache["zs2"])
-            centers = (np.arange(config.severity_bins) + 0.5) / config.severity_bins
-            cache["sev"] = cache["sev_probs"] @ centers[:, None]
-        else:
-            cache["sev"] = np.maximum(cache["zs2"], 0.0)
+        cache["sev_probs"] = _softmax(cache["zs2"])
+        cache["sev"] = cache["sev_probs"] @ SEVERITY_CENTERS[:, None]
     return cache
 
 
@@ -411,28 +401,23 @@ def forward(
     return _diagnosis_from_cache(cache, config), cache
 
 
-def _targets(graph: SignalGraph, config: ModelConfig) -> dict:
+def _targets(graph: SignalGraph) -> dict:
     """Per-node label arrays of one graph."""
     n = graph.n_nodes
-    y_sev = np.array([[t.severity] for t in graph.node_targets])
     onehot = np.zeros((n, len(TYPE_CLASSES)))
     for i, t in enumerate(graph.node_targets):
         if t.fault_type is not None:
             onehot[i, TYPE_CLASSES.index(t.fault_type)] = 1.0
-    targets = {
+    severity = np.array([t.severity for t in graph.node_targets])
+    bins = np.clip((severity * SEVERITY_BINS).astype(int), 0, SEVERITY_BINS - 1)
+    sev_onehot = np.zeros((n, SEVERITY_BINS))
+    sev_onehot[np.arange(n), bins] = 1.0
+    return {
         "y_anom": np.array([[float(t.anomaly)] for t in graph.node_targets]),
-        "y_sev": y_sev,
         "type_mask": np.array([float(t.anomaly) for t in graph.node_targets]),
         "onehot": onehot,
+        "sev_onehot": sev_onehot,
     }
-    if config.severity_bins > 0:
-        target_bins = np.clip(
-            (y_sev[:, 0] * config.severity_bins).astype(int), 0, config.severity_bins - 1
-        )
-        sev_onehot = np.zeros((n, config.severity_bins))
-        sev_onehot[np.arange(n), target_bins] = 1.0
-        targets["sev_onehot"] = sev_onehot
-    return targets
 
 
 def _block_targets(per_graph: list[dict], block: _Block) -> dict:
@@ -471,11 +456,9 @@ def _loss_terms(
 
     if config.ablation == "no_severity":
         sev = np.zeros(len(block.sizes))
-    elif config.severity_bins > 0:
+    else:
         logp = np.log(np.maximum(cache["sev_probs"], 1e-300))
         sev = per_graph_mean(-np.sum(targets["sev_onehot"] * logp, axis=1))
-    else:
-        sev = per_graph_mean((cache["sev"][:, 0] - targets["y_sev"][:, 0]) ** 2)
 
     total = config.lambda_anomaly * bce + config.lambda_type * ce + config.lambda_severity * sev
     return total, {"anomaly": bce, "type": ce, "severity": sev}
@@ -496,12 +479,9 @@ def _backward(cache: dict, targets: dict, params: dict, config: ModelConfig) -> 
     grads["b_type"] = dzt.sum(axis=0)
     dH2 = dza @ params["W_anom"].T + dzt @ params["W_type"].T
 
+    # The severity gradient stops at its input: it never reaches dH2.
     if config.ablation != "no_severity":
-        if config.severity_bins > 0:
-            dzs2 = config.lambda_severity * (cache["sev_probs"] - targets["sev_onehot"]) / node_n
-        else:
-            dsev = config.lambda_severity * 2.0 * (cache["sev"] - targets["y_sev"]) / node_n
-            dzs2 = dsev * (cache["zs2"] > 0)
+        dzs2 = config.lambda_severity * (cache["sev_probs"] - targets["sev_onehot"]) / node_n
         S1 = cache["S1"]
         grads["W_sev2"] = S1.T @ dzs2
         grads["b_sev2"] = dzs2.sum(axis=0)
@@ -510,8 +490,6 @@ def _backward(cache: dict, targets: dict, params: dict, config: ModelConfig) -> 
         sev_in = cache["sev_in"]
         grads["W_sev1"] = sev_in.T @ dzs1
         grads["b_sev1"] = dzs1.sum(axis=0)
-        if config.severity_to_trunk:
-            dH2 = dH2 + dzs1 @ params["W_sev1"].T
 
     dZ2 = dH2 * (cache["Z2"] > 0)
     grads["W_gcn2"] = cache["A2"].T @ dZ2
@@ -542,16 +520,15 @@ def loss_and_grads(
     """Multi-task loss and analytic gradients for one graph.
 
     The loss is
-    ``lambda_anomaly * BCE + lambda_severity * MSE + lambda_type * CE``
-    with BCE and MSE averaged over all nodes and CE averaged over the
-    anomalous nodes only (a healthy node has no fault class).
+    ``lambda_anomaly * BCE + lambda_severity * CE_sev + lambda_type * CE``
+    with BCE and the severity-bin cross-entropy CE_sev averaged over all
+    nodes and the type cross-entropy CE averaged over the anomalous nodes
+    only (a healthy node has no fault class).
 
-    By default the severity branch reads the trunk through a stop-gradient:
-    its MSE trains only W_sev1/W_sev2. Finite-difference checks of that
-    regime pass ``frozen_severity_input`` (the unperturbed trunk output) so
-    the differentiated function matches the analytic one. With
-    ``severity_to_trunk=True`` the coupling is live and no freezing is
-    needed.
+    The severity branch reads the trunk through a stop-gradient: CE_sev
+    trains only the severity head. Finite-difference checks pass
+    ``frozen_severity_input`` (the unperturbed trunk output) so the
+    differentiated function matches the analytic one.
 
     Returns:
         (total loss, per-component dict, gradient dict keyed like params).
@@ -559,7 +536,7 @@ def loss_and_grads(
     block, cache = _graph_pass(
         graph, state, config, train_mode, dropout_mask, dropout_seed, edges, frozen_severity_input
     )
-    targets = _block_targets([_targets(graph, config)], block)
+    targets = _block_targets([_targets(graph)], block)
     total, components = _loss_terms(cache, targets, block, config)
     grads = _backward(cache, targets, state.params, config)
     return float(total[0]), {k: float(v[0]) for k, v in components.items()}, grads
@@ -585,7 +562,7 @@ def loss_value(
     block, cache = _graph_pass(
         graph, state, config, train_mode, dropout_mask, dropout_seed, edges, frozen_severity_input
     )
-    targets = _block_targets([_targets(graph, config)], block)
+    targets = _block_targets([_targets(graph)], block)
     return float(_loss_terms(cache, targets, block, config)[0][0])
 
 
@@ -700,7 +677,7 @@ def train(
     params = state.params
     features = [g.feature_matrix() for g in dataset]
     edges = [_edge_arrays(g.edges) for g in dataset]  # (i, j, weights) per graph
-    targets = [_targets(g, config) for g in dataset]
+    targets = [_targets(g) for g in dataset]
 
     def block_of(members) -> _Block:
         return _block([features[k] for k in members], [edges[k] for k in members])
@@ -829,6 +806,13 @@ def save_checkpoint(
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[ModelState, ModelConfig, PipelineSettings | None, Standardizer | None]:
+    """Read a checkpoint written by save_checkpoint, checking every entry.
+
+    Raises:
+        InvalidConfigValue: If the format tag is not CHECKPOINT_FORMAT, or a
+            key is missing or malformed (the message names the key).
+        InvalidConfig: If the config or pipeline section does not decode.
+    """
     with open(path) as fh:
         blob = json.load(fh)
     found = blob.get("format") if isinstance(blob, dict) else None
@@ -838,13 +822,50 @@ def load_checkpoint(
     if missing:
         raise InvalidConfigValue(f"checkpoint lacks key(s): {', '.join(missing)}")
     config = codec.from_json(ModelConfig, blob["config"], "config")
-    params = {
-        name: np.array(entry["data"], dtype=float).reshape(entry["shape"])
-        for name, entry in blob["params"].items()
-    }
-    state = ModelState(params=params, feature_dim=blob["feature_dim"], epoch=blob["epoch"])
+    feature_dim = blob["feature_dim"]
+    if not isinstance(feature_dim, int) or isinstance(feature_dim, bool) or feature_dim < 1:
+        raise InvalidConfigValue(f"checkpoint feature_dim must be an int >= 1, got {feature_dim!r}")
+    specs = dict(_param_specs(feature_dim, config))
+    entries = _checked_object(blob["params"], "params", tuple(specs))
+    unknown = sorted(set(entries) - set(specs))
+    if unknown:
+        raise InvalidConfigValue(f"checkpoint params.{unknown[0]}: unknown tensor")
+    params = {}
+    for name, shape in specs.items():
+        entry = _checked_object(entries[name], f"params.{name}", ("shape", "data"))
+        if entry["shape"] != list(shape):
+            raise InvalidConfigValue(
+                f"checkpoint params.{name}.shape is {entry['shape']!r}, expected {list(shape)}"
+            )
+        data = _checked_floats(entry["data"], f"params.{name}.data", int(np.prod(shape)))
+        params[name] = data.reshape(shape)
+    state = ModelState(params=params, feature_dim=feature_dim, epoch=blob["epoch"])
     pipeline = codec.decode(PipelineSettings | None, blob["pipeline"], "pipeline")
-    standardizer = (
-        None if blob["standardizer"] is None else Standardizer.from_json(blob["standardizer"])
-    )
+    standardizer = None
+    if blob["standardizer"] is not None:
+        stats = _checked_object(blob["standardizer"], "standardizer", ("mean", "std"))
+        for part in ("mean", "std"):
+            _checked_floats(stats[part], f"standardizer.{part}", feature_dim)
+        standardizer = Standardizer.from_json(stats)
     return state, config, pipeline, standardizer
+
+
+def _checked_object(value, key: str, required: tuple[str, ...] = ()) -> dict:
+    """``value`` as a JSON object holding every ``required`` key."""
+    if not isinstance(value, dict):
+        raise InvalidConfigValue(f"checkpoint {key} must be an object, got {value!r:.60}")
+    for part in required:
+        if part not in value:
+            raise InvalidConfigValue(f"checkpoint lacks key {key}.{part}")
+    return value
+
+
+def _checked_floats(value, key: str, count: int) -> np.ndarray:
+    """``value`` as a flat float64 array of exactly ``count`` numbers."""
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.shape != (count,):
+        raise InvalidConfigValue(f"checkpoint {key} must hold {count} numbers")
+    return array

@@ -1,15 +1,18 @@
 """End-to-end tests for the command-line pipeline on a small machine."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gnnase import cli
+from gnnase import cli, codec
 from gnnase.config import config_from_json, config_to_json, load_config
 from gnnase.errors import ChannelMismatch, InvalidConfig, InvalidConfigValue, ParseError
-from gnnase.model import CHECKPOINT_FORMAT, CHECKPOINT_KEYS
+from gnnase.model import CHECKPOINT_FORMAT, CHECKPOINT_KEYS, PipelineSettings
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Small signals keep the full pipeline under a second per command: 2 kHz
 # for 0.5 s gives 1000 samples and six 256-sample windows per recording.
@@ -78,16 +81,31 @@ class TestConfig:
             config_from_json({"model": {"learning_rate": -1.0}})
 
     @pytest.mark.parametrize("value", ["false", 1, None])
-    def test_severity_to_trunk_must_be_boolean(self, value):
-        # bool("false") is True: a string must not silently turn the coupling on.
-        with pytest.raises(InvalidConfig, match="severity_to_trunk") as excinfo:
-            config_from_json({"model": {"severity_to_trunk": value}})
+    def test_include_frequency_must_be_boolean(self, value):
+        # bool("false") is True: a string must not silently turn the features on.
+        expected = r"^pipeline\.include_frequency: expected a boolean"
+        with pytest.raises(InvalidConfig, match=expected):
+            codec.from_json(PipelineSettings, {"include_frequency": value}, "pipeline")
+
+    @pytest.mark.parametrize(
+        "key, value", [("embed_dim", -1), ("embed_dim", 0), ("gcn1_dim", 0), ("gcn2_dim", -3),
+                       ("severity_dim", 0)]
+    )
+    def test_layer_widths_must_be_positive(self, key, value):
+        with pytest.raises(InvalidConfig, match="must be >= 1") as excinfo:
+            config_from_json({"model": {key: value}})
         assert isinstance(excinfo.value.__cause__, InvalidConfigValue)
 
-    def test_severity_to_trunk_accepts_booleans(self):
-        for value in (False, True):
-            config = config_from_json({"model": {"severity_to_trunk": value}})
-            assert config.model.severity_to_trunk is value
+    def test_readme_config_block_matches_defaults(self):
+        # The README's config example must name exactly the sections and keys
+        # a resolved default config has.
+        block = re.search(r"```json\n(\{\n  \"seed\".*?\n\})\n```", README.read_text(), re.S)
+        documented = json.loads(block.group(1))
+        defaults = config_to_json(config_from_json({}))
+        assert documented.keys() == defaults.keys()
+        for section, values in defaults.items():
+            if isinstance(values, dict):
+                assert documented[section].keys() == values.keys(), section
 
     def test_unknown_section_rejected(self):
         with pytest.raises(InvalidConfig, match="typo"):
@@ -118,7 +136,7 @@ class TestConfig:
                       "learning_rate": 0.05, "lr_schedule": "constant", "dropout_p": 0.25,
                       "beta": 0.5, "epochs": 7, "batch_size": 3, "lambda_anomaly": 2.0,
                       "lambda_severity": 0.5, "lambda_type": 1.5, "ablation": "no_reweight",
-                      "seed": 42, "severity_to_trunk": True, "severity_bins": 4},
+                      "seed": 42},
             "split": {"ratios": [0.6, 0.2, 0.2]},
             "graph": {"neighbors": 2},
             "paths": {"dataset_dir": "d", "checkpoint": "c.json", "out_dir": "o"},
@@ -475,6 +493,90 @@ class TestErrors:
         assert self.only_error_line(capsys) == (
             "[gnnase] InvalidConfigValue: checkpoint lacks key(s): " + ", ".join(CHECKPOINT_KEYS)
         )
+
+    @staticmethod
+    def diagnose_edited_checkpoint(workspace, tmp_path, edit) -> int:
+        """Run diagnose on a copy of the trained checkpoint changed by ``edit``."""
+        root, config = workspace
+        blob = json.loads((root / "run" / "model.json").read_text())
+        edit(blob)
+        checkpoint = tmp_path / "model.json"
+        checkpoint.write_text(json.dumps(blob))
+        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
+        return run(argv)
+
+    def test_previous_checkpoint_format_rejected(self, workspace, tmp_path, capsys):
+        assert CHECKPOINT_FORMAT == "gnnase-checkpoint-v3"
+
+        def edit(blob):
+            blob["format"] = "gnnase-checkpoint-v2"
+
+        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
+        assert self.only_error_line(capsys) == (
+            "[gnnase] InvalidConfigValue: unrecognized checkpoint format 'gnnase-checkpoint-v2'"
+        )
+
+    @pytest.mark.parametrize(
+        "section, entry, part",
+        [("params", "W_sev2", "data"), ("params", "b_anom", "shape"), ("standardizer", "std", None),
+         ("params", "W_type", None)],
+    )
+    def test_checkpoint_missing_entry_named(
+        self, workspace, tmp_path, capsys, section, entry, part
+    ):
+        def edit(blob):
+            if part is None:
+                del blob[section][entry]
+            else:
+                del blob[section][entry][part]
+
+        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
+        key = ".".join(k for k in (section, entry, part) if k)
+        assert self.only_error_line(capsys) == (
+            f"[gnnase] InvalidConfigValue: checkpoint lacks key {key}"
+        )
+
+    def test_checkpoint_wrong_shape_named(self, workspace, tmp_path, capsys):
+        def edit(blob):
+            blob["params"]["W_gcn2"]["shape"] = blob["params"]["W_gcn2"]["shape"][::-1] + [1]
+
+        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
+        assert self.only_error_line(capsys).startswith(
+            "[gnnase] InvalidConfigValue: checkpoint params.W_gcn2.shape is "
+        )
+
+    @pytest.mark.parametrize("entry", ["params.W_embed.data", "standardizer.mean"])
+    def test_checkpoint_wrong_length_named(self, workspace, tmp_path, capsys, entry):
+        section, *rest = entry.split(".")
+
+        def edit(blob):
+            target = blob[section]
+            for key in rest[:-1]:
+                target = target[key]
+            target[rest[-1]] = target[rest[-1]][:-1]
+
+        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
+        assert self.only_error_line(capsys).startswith(
+            f"[gnnase] InvalidConfigValue: checkpoint {entry} must hold "
+        )
+
+    @pytest.mark.parametrize("value", ["no", None, 0])
+    def test_checkpoint_non_boolean_include_frequency(self, workspace, tmp_path, capsys, value):
+        def edit(blob):
+            blob["pipeline"]["include_frequency"] = value
+
+        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
+        assert self.only_error_line(capsys).startswith(
+            "[cli] InvalidConfig: pipeline.include_frequency: expected a boolean"
+        )
+
+    @pytest.mark.parametrize("key", ["severity_bins", "severity_to_trunk"])
+    def test_config_with_deleted_severity_option(self, tmp_path, capsys, key):
+        value = 4 if key == "severity_bins" else False
+        config = write_config(tmp_path, extra={f"model.{key}": value})
+        assert run(["simulate", "--config", config, "--quiet"]) == 1
+        assert self.only_error_line(capsys) == f"[cli] InvalidConfig: model.{key}: unknown key"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("filtered", [True, False], ids=["filter", "no_filter"])

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gnnase import evaluate as ev
+from gnnase.config import config_from_json
 from gnnase.errors import EmptyCatalog, InvalidRatios, UndefinedMetric
 from gnnase.features import WindowSpec
-from gnnase.model import ModelConfig, PipelineSettings, init_state
+from gnnase.model import ModelConfig, PipelineSettings, init_state, train
 from gnnase.preprocess import FilterSpec
 from gnnase.simulate import (
     FaultSpec,
@@ -459,3 +460,21 @@ class TestPredict:
         assert healthy and healthy[0].true_severity == 0.0
         assert all(p.predicted_class in ("eccentricity", "bar_breakage", "bearing") for p in preds)
         assert all(0.0 <= p.anomaly_probability <= 1.0 for p in preds)
+
+
+class TestSeverityHeadAlive:
+    """The severity head keeps ranking faults on seeds where a ReLU head died."""
+
+    @pytest.mark.parametrize("seed", [7, 12])
+    def test_default_catalog_sixty_epochs(self, seed):
+        config = config_from_json({"seed": seed, "model": {"epochs": 60}})
+        catalog = generate_catalog(config.machine, config.simulate_seed(0), config.noise_snr_db)
+        splits = ev.split(catalog, config.ratios, seed=config.split_seed())
+        train_g, val_g, test_g, _ = ev.featurize_splits(splits, config.pipeline())
+        state, _ = train(train_g, config.model, val_dataset=val_g)
+        preds = ev.predict(test_g, state, config.model)
+        faulty = [p.severity_score for p in preds if p.true_class is not None]
+        assert faulty and 0.0 not in faulty
+        rows = {(family, metric): value for _, family, metric, value in
+                ev.evaluate_predictions(preds, "GNN-ASE")}
+        assert rows.get(("overall", "severity_spearman"), float("nan")) >= 0.8

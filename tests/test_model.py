@@ -117,7 +117,8 @@ class TestForward:
         diagnosis, _ = model.forward(g, state, config)
         assert diagnosis.node_anomaly == pytest.approx(np.full(6, 0.5))
         assert diagnosis.node_type == pytest.approx(np.full((6, 3), 1 / 3))
-        assert diagnosis.node_severity == pytest.approx(np.zeros(6))
+        # A uniform softmax over the severity bins scores the mean bin centre.
+        assert diagnosis.node_severity == pytest.approx(np.full(6, 0.5))
 
     def test_eval_mode_deterministic(self):
         g = random_graph(seed=5)
@@ -135,7 +136,9 @@ class TestForward:
         diagnosis, _ = model.forward(g, state, config)
         assert np.all((diagnosis.node_anomaly > 0) & (diagnosis.node_anomaly < 1))
         assert diagnosis.node_type.sum(axis=1) == pytest.approx(np.ones(6), abs=1e-9)
-        assert np.all(diagnosis.node_severity >= 0)
+        # An expected bin centre lies between the lowest and highest centres.
+        low, high = model.SEVERITY_CENTERS[[0, -1]]
+        assert np.all((diagnosis.node_severity > low) & (diagnosis.node_severity < high))
 
     def test_dropout_mask_unbiased(self):
         # Mean of 10^4 inverted-dropout applications of a fixed layer
@@ -194,7 +197,7 @@ class TestLoss:
         # Saturate the correct heads through biases alone.
         state.params["b_anom"][:] = 50.0
         state.params["b_type"][:] = [50.0, 0.0, 0.0]
-        state.params["b_sev2"][:] = 0.75
+        state.params["b_sev2"][:] = [0.0, 0.0, 0.0, 50.0]  # severity 0.75: the top bin
         total, components, _ = model.loss_and_grads(g, state, config, train_mode=False)
         assert components["anomaly"] < 1e-9
         assert components["type"] < 1e-9
@@ -218,17 +221,10 @@ class TestLoss:
         assert components["type"] == 0.0
 
     @pytest.mark.parametrize("ablation", model.ABLATIONS)
-    @pytest.mark.parametrize("severity_bins", [0, 4])
-    @pytest.mark.parametrize("severity_to_trunk", [False, True])
-    def test_loss_value_is_exactly_loss_and_grads_total(
-        self, ablation, severity_bins, severity_to_trunk
-    ):
+    def test_loss_value_is_exactly_loss_and_grads_total(self, ablation):
         # The forward-only loss must be the very function whose gradients
         # loss_and_grads returns, so compare with ==, not a tolerance.
-        config = model.ModelConfig(
-            ablation=ablation, severity_bins=severity_bins, severity_to_trunk=severity_to_trunk,
-            **SMALL,
-        )
+        config = model.ModelConfig(ablation=ablation, **SMALL)
         d = 12 if ablation == "no_freq_features" else 20
         g = mixed_targets_graph(n=6, d=d, seed=14)
         state = model.init_state(d, config)
@@ -251,11 +247,10 @@ def gradcheck(config, graph_seed=21, h=1e-6, tol=1e-4):
     mask = model._dropout_mask((6, config.gcn1_dim), config.dropout_p, seed=graph_seed + 1)
 
     frozen = None
-    if config.ablation != "no_severity" and not config.severity_to_trunk:
-        # Default regime: the severity branch reads the trunk through a
-        # stop-gradient, so differentiate the loss with that input frozen
-        # at its unperturbed value. That is the function the analytic
-        # gradients are gradients of.
+    if config.ablation != "no_severity":
+        # The severity branch reads the trunk through a stop-gradient, so
+        # differentiate the loss with that input frozen at its unperturbed
+        # value. That is the function the analytic gradients are gradients of.
         _, cache = model.forward(graph, state, config, train_mode=True, dropout_mask=mask)
         frozen = cache["H2"]
 
@@ -294,10 +289,10 @@ def gradcheck(config, graph_seed=21, h=1e-6, tol=1e-4):
 
 class TestGradients:
     def test_full_model_detached_severity(self):
-        gradcheck(model.ModelConfig(**SMALL))
-
-    def test_full_model_coupled_severity(self):
-        gradcheck(model.ModelConfig(severity_to_trunk=True, **SMALL))
+        # Covers the binned severity head. A nonzero error means its gradient
+        # was live and compared, not skipped as an analytic zero.
+        worst = gradcheck(model.ModelConfig(**SMALL))
+        assert worst["W_sev2"] > 0.0 and worst["b_sev2"] > 0.0
 
     def test_no_reweight_variant(self):
         gradcheck(model.ModelConfig(ablation="no_reweight", **SMALL))
@@ -307,9 +302,6 @@ class TestGradients:
 
     def test_no_freq_features_variant(self):
         gradcheck(model.ModelConfig(ablation="no_freq_features", **SMALL))
-
-    def test_binned_severity_head(self):
-        gradcheck(model.ModelConfig(severity_bins=4, **SMALL))
 
     def test_without_dropout(self):
         gradcheck(model.ModelConfig(dropout_p=0.0, **SMALL))
@@ -471,14 +463,9 @@ class TestBatchedEngine:
     """One block-diagonal pass over a minibatch equals the per-graph calls."""
 
     @pytest.mark.parametrize("ablation", model.ABLATIONS)
-    @pytest.mark.parametrize("severity_bins", [0, 4])
-    @pytest.mark.parametrize("severity_to_trunk", [False, True])
     @pytest.mark.parametrize("frozen", [False, True])
-    def test_batch_equals_sum_of_graphs(self, ablation, severity_bins, severity_to_trunk, frozen):
-        config = model.ModelConfig(
-            ablation=ablation, severity_bins=severity_bins, severity_to_trunk=severity_to_trunk,
-            **SMALL,
-        )
+    def test_batch_equals_sum_of_graphs(self, ablation, frozen):
+        config = model.ModelConfig(ablation=ablation, **SMALL)
         d = 12 if ablation == "no_freq_features" else 20
         graphs = mixed_size_dataset(d=d)
         state = model.init_state(d, config)
@@ -510,7 +497,7 @@ class TestBatchedEngine:
             block, state.params, config, np.concatenate(masks),
             np.concatenate(severity) if frozen else None,
         )
-        targets = model._block_targets([model._targets(g, config) for g in graphs], block)
+        targets = model._block_targets([model._targets(g) for g in graphs], block)
         batch_totals, _ = model._loss_terms(cache, targets, block, config)
         batch_grads = model._backward(cache, targets, state.params, config)
 
