@@ -81,7 +81,9 @@ class TestConfig:
             config_from_json({"model": {"learning_rate": -1.0}})
 
     @pytest.mark.parametrize("value", ["false", 1, None])
-    def test_include_frequency_must_be_boolean(self, value):
+    def test_severity_to_trunk_must_be_boolean(self, value):
+        # Named for the deleted model.severity_to_trunk flag, whose values it
+        # first checked; pipeline.include_frequency is the one boolean key left.
         # bool("false") is True: a string must not silently turn the features on.
         expected = r"^pipeline\.include_frequency: expected a boolean"
         with pytest.raises(InvalidConfig, match=expected):

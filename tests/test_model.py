@@ -220,8 +220,11 @@ class TestLoss:
         _, components, _ = model.loss_and_grads(g, state, config, train_mode=False)
         assert components["type"] == 0.0
 
+    # The ids keep the names these cases had while the severity head had
+    # options, "<frozen>-<bins>-<ablation>": 4 bins is the one head left.
     @pytest.mark.parametrize("ablation", model.ABLATIONS)
-    def test_loss_value_is_exactly_loss_and_grads_total(self, ablation):
+    @pytest.mark.parametrize("frozen", [False, True], ids=["False-4", "True-4"])
+    def test_loss_value_is_exactly_loss_and_grads_total(self, ablation, frozen):
         # The forward-only loss must be the very function whose gradients
         # loss_and_grads returns, so compare with ==, not a tolerance.
         config = model.ModelConfig(ablation=ablation, **SMALL)
@@ -230,13 +233,13 @@ class TestLoss:
         state = model.init_state(d, config)
         _, cache = model.forward(g, state, config, train_mode=True, dropout_seed=3)
         reweighted = model.reweight_edges(g.edges, cache["H1"], 0.4)
-        for frozen in (None, cache["H2"] + 0.1):
-            for edges in (None, reweighted):
-                kwargs = dict(
-                    train_mode=True, dropout_seed=3, edges=edges, frozen_severity_input=frozen
-                )
-                total, _, _ = model.loss_and_grads(g, state, config, **kwargs)
-                assert model.loss_value(g, state, config, **kwargs) == total
+        frozen = cache["H2"] + 0.1 if frozen else None
+        for edges in (None, reweighted):
+            kwargs = dict(
+                train_mode=True, dropout_seed=3, edges=edges, frozen_severity_input=frozen
+            )
+            total, _, _ = model.loss_and_grads(g, state, config, **kwargs)
+            assert model.loss_value(g, state, config, **kwargs) == total
 
 
 def gradcheck(config, graph_seed=21, h=1e-6, tol=1e-4):
@@ -289,8 +292,27 @@ def gradcheck(config, graph_seed=21, h=1e-6, tol=1e-4):
 
 class TestGradients:
     def test_full_model_detached_severity(self):
-        # Covers the binned severity head. A nonzero error means its gradient
-        # was live and compared, not skipped as an analytic zero.
+        # The stop-gradient: other severity targets change the severity
+        # head's gradients and not one bit of any other tensor's.
+        config = model.ModelConfig(**SMALL)
+        g = mixed_targets_graph(seed=21)
+        state = model.init_state(20, config)
+        mask = model._dropout_mask((6, config.gcn1_dim), config.dropout_p, seed=22)
+        _, _, grads = model.loss_and_grads(g, state, config, dropout_mask=mask)
+        g.node_targets = [
+            NodeTargets(t.anomaly, 1.0 - t.severity if t.anomaly else 0.0, t.fault_type)
+            for t in g.node_targets
+        ]
+        _, _, moved = model.loss_and_grads(g, state, config, dropout_mask=mask)
+        for name in grads:
+            if name.endswith(("_sev1", "_sev2")):
+                assert not np.array_equal(moved[name], grads[name]), name
+            else:
+                assert np.array_equal(moved[name], grads[name]), name
+
+    def test_binned_severity_head(self):
+        # A nonzero error means the head's gradient was live and compared,
+        # not skipped as an analytic zero.
         worst = gradcheck(model.ModelConfig(**SMALL))
         assert worst["W_sev2"] > 0.0 and worst["b_sev2"] > 0.0
 
@@ -462,8 +484,10 @@ def assert_close(actual, expected, rel=1e-12):
 class TestBatchedEngine:
     """One block-diagonal pass over a minibatch equals the per-graph calls."""
 
+    # The ids keep the names these cases had while the severity head had
+    # options, "<frozen>-<trunk-coupled>-<bins>-<ablation>".
     @pytest.mark.parametrize("ablation", model.ABLATIONS)
-    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["False-False-4", "True-False-4"])
     def test_batch_equals_sum_of_graphs(self, ablation, frozen):
         config = model.ModelConfig(ablation=ablation, **SMALL)
         d = 12 if ablation == "no_freq_features" else 20
