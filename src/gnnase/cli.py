@@ -12,16 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import RunConfig, load_config, write_resolved
-from .errors import (
-    ChannelMismatch,
-    DiagnosticsError,
-    FeatureDimMismatch,
-    IoError,
-    ParseError,
-)
+from .errors import DiagnosticsError, FeatureDimMismatch, IoError
 from .evaluate import (
     VARIANT_NAMES,
     EvalReport,
@@ -35,15 +27,7 @@ from .evaluate import (
 from .graphs import TYPE_CLASSES
 from .model import diagnose, load_checkpoint, recording_to_graph, save_checkpoint, train
 from .preprocess import augment_dataset
-from .simulate import (
-    CHANNEL_NAMES,
-    FaultSpec,
-    OperatingPoint,
-    Recording,
-    generate_catalog,
-    load_catalog,
-    save_catalog,
-)
+from .simulate import generate_catalog, load_catalog, read_recording_csv, save_catalog
 
 def _say(args, message: str, stream=None):
     if not args.quiet:
@@ -74,6 +58,19 @@ def _out_dir(config: RunConfig) -> Path:
     _ensure_parent(out)
     out.mkdir(exist_ok=True)
     return out
+
+
+def _checkpoint_path(config: RunConfig) -> Path:
+    """A bare file name lives under out_dir; any other path is used as given."""
+    path = Path(config.checkpoint)
+    return Path(config.out_dir) / path if path.parent == Path(".") else path
+
+
+def _load_checkpoint(config: RunConfig):
+    path = _checkpoint_path(config)
+    if not path.is_file():
+        raise IoError(f"checkpoint not found: {path}")
+    return load_checkpoint(path)
 
 
 def cmd_simulate(args) -> int:
@@ -110,9 +107,7 @@ def _load_dataset(config: RunConfig):
 def cmd_train(args) -> int:
     config = load_config(args.config, _overrides(args))
     out = _out_dir(config)
-    checkpoint_path = Path(config.checkpoint)
-    if not checkpoint_path.is_absolute() and checkpoint_path.parent == Path("."):
-        checkpoint_path = out / checkpoint_path
+    checkpoint_path = _checkpoint_path(config)
     _ensure_parent(checkpoint_path)
 
     recordings, _, _ = _load_dataset(config)
@@ -155,13 +150,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config = load_config(args.config, _overrides(args))
     out = _out_dir(config)
-    checkpoint_path = Path(config.checkpoint)
-    if not checkpoint_path.is_file() and (out / checkpoint_path).is_file():
-        checkpoint_path = out / checkpoint_path
-    if not checkpoint_path.is_file():
-        raise IoError(f"checkpoint not found: {checkpoint_path}")
-
-    state, model_config, pipeline, standardizer = load_checkpoint(checkpoint_path)
+    state, model_config, pipeline, standardizer = _load_checkpoint(config)
     recordings, _, _ = _load_dataset(config)
     splits = split(recordings, config.ratios, seed=config.split_seed())
     test_recs = splits[2]
@@ -191,73 +180,9 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def read_recording_csv(path: str | Path) -> Recording:
-    """Parse one recording CSV (header ``t,<channels>``, one row per sample).
-
-    Raises:
-        IoError: If the file is missing.
-        ParseError: Malformed header or row, or a time step that differs
-            from the first by more than 1e-6 of it, with its line number.
-        ChannelMismatch: If the channel columns differ from the training set.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise IoError(f"recording file not found: {path}")
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split(",")
-    if header[0] != "t":
-        raise ParseError(f"line 1: first column must be 't', got {header[0]!r}")
-    channels_in_file = tuple(header[1:])
-    if channels_in_file != CHANNEL_NAMES:
-        raise ChannelMismatch(
-            f"expected channels {list(CHANNEL_NAMES)}, file has {list(channels_in_file)}"
-        )
-    if len(lines) < 3:
-        raise ParseError("line 2: need at least two samples to infer the sample rate")
-
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ParseError(
-                f"line {lineno}: expected {len(header)} fields, got {len(parts)}"
-            )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric field in {line!r}") from None
-
-    data = np.array(rows)
-    dt = data[1, 0] - data[0, 0]
-    if not dt > 0:
-        raise ParseError("line 3: time column must be strictly increasing")
-    # Step k runs from data row k to row k + 1, which sits on line k + 3; a
-    # NaN time fails the comparison and counts as uneven.
-    uneven = np.flatnonzero(~(np.abs(np.diff(data[:, 0]) - dt) <= 1e-6 * dt))
-    if uneven.size:
-        raise ParseError(
-            f"line {uneven[0] + 3}: time step differs from the first step {float(dt)!r}; "
-            "samples must be evenly spaced"
-        )
-    sample_rate = 1.0 / dt
-    if abs(sample_rate - round(sample_rate)) < 1e-6 * sample_rate:
-        sample_rate = float(round(sample_rate))
-    return Recording(
-        channels={name: data[:, i + 1].copy() for i, name in enumerate(CHANNEL_NAMES)},
-        sample_rate=sample_rate,
-        label=FaultSpec(kind="healthy"),
-        operating_point=OperatingPoint.from_load(0),
-        seed=0,
-        name=path.stem,
-    )
-
-
 def cmd_diagnose(args) -> int:
     config = load_config(args.config, _overrides(args))
-    checkpoint_path = Path(config.checkpoint)
-    if not checkpoint_path.is_file():
-        raise IoError(f"checkpoint not found: {checkpoint_path}")
-    state, model_config, pipeline, standardizer = load_checkpoint(checkpoint_path)
+    state, model_config, pipeline, standardizer = _load_checkpoint(config)
 
     recording = read_recording_csv(args.recording)
     result = diagnose(recording, state, model_config, pipeline, standardizer)

@@ -24,13 +24,21 @@ class ShapeMismatch(DiagnosticsError):
     module = "numerics"
 
 
-# -- machine simulation -----------------------------------------------------
+# -- machine simulation and recording files --------------------------------
 
 class InvalidSlip(DiagnosticsError):
     module = "simulate"
 
 
 class InvalidFv(DiagnosticsError):
+    module = "simulate"
+
+
+class ParseError(DiagnosticsError):
+    module = "simulate"
+
+
+class ChannelMismatch(DiagnosticsError):
     module = "simulate"
 
 
@@ -107,14 +115,6 @@ class InvalidRatios(DiagnosticsError):
 # -- CLI --------------------------------------------------------------------
 
 class InvalidConfig(DiagnosticsError):
-    module = "cli"
-
-
-class ParseError(DiagnosticsError):
-    module = "cli"
-
-
-class ChannelMismatch(DiagnosticsError):
     module = "cli"
 
 

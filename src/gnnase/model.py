@@ -730,18 +730,16 @@ def train(
 def recording_to_graph(
     recording: Recording,
     pipeline: PipelineSettings,
-    standardizer: Standardizer | None = None,
+    standardizer: Standardizer,
 ) -> SignalGraph:
     """Preprocess -> featurize -> standardize -> graph, for one recording."""
     rec = recording
     if pipeline.filter is not None:
         rec = filter_recording(rec, pipeline.filter)
-    windows = extract_windows(rec, pipeline.window, pipeline.include_frequency)
-    if standardizer is not None:
-        windows = [
-            WindowFeatures(x=standardizer.transform(w.x), window_index=w.window_index, source=w.source)
-            for w in windows
-        ]
+    windows = [
+        WindowFeatures(x=standardizer.transform(w.x), window_index=w.window_index, source=w.source)
+        for w in extract_windows(rec, pipeline.window, pipeline.include_frequency)
+    ]
     names = feature_names(include_frequency=pipeline.include_frequency)
     return build_graph(windows, rec.label, k=pipeline.neighbors, feature_names=names)
 
@@ -751,7 +749,7 @@ def diagnose(
     state: ModelState,
     config: ModelConfig,
     pipeline: PipelineSettings,
-    standardizer: Standardizer | None = None,
+    standardizer: Standardizer,
 ) -> Diagnosis:
     """Full inference on one raw recording.
 
@@ -776,8 +774,8 @@ def save_checkpoint(
     path: str | Path,
     state: ModelState,
     config: ModelConfig,
-    pipeline: PipelineSettings | None = None,
-    standardizer: Standardizer | None = None,
+    pipeline: PipelineSettings,
+    standardizer: Standardizer,
 ) -> None:
     """Write a JSON checkpoint that restores bit-identical behavior.
 
@@ -789,8 +787,8 @@ def save_checkpoint(
         "config": codec.to_json(config),
         "feature_dim": state.feature_dim,
         "epoch": state.epoch,
-        "pipeline": None if pipeline is None else codec.to_json(pipeline),
-        "standardizer": None if standardizer is None else standardizer.to_json(),
+        "pipeline": codec.to_json(pipeline),
+        "standardizer": standardizer.to_json(),
         "params": {
             name: {"shape": list(p.shape), "data": [float(v) for v in p.ravel()]}
             for name, p in state.params.items()
@@ -805,16 +803,20 @@ def save_checkpoint(
 
 def load_checkpoint(
     path: str | Path,
-) -> tuple[ModelState, ModelConfig, PipelineSettings | None, Standardizer | None]:
+) -> tuple[ModelState, ModelConfig, PipelineSettings, Standardizer]:
     """Read a checkpoint written by save_checkpoint, checking every entry.
 
     Raises:
-        InvalidConfigValue: If the format tag is not CHECKPOINT_FORMAT, or a
-            key is missing or malformed (the message names the key).
+        InvalidConfigValue: If the file is not UTF-8 JSON, the format tag is
+            not CHECKPOINT_FORMAT, or a key is missing, null or malformed
+            (the message names the key).
         InvalidConfig: If the config or pipeline section does not decode.
     """
-    with open(path) as fh:
-        blob = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            blob = json.load(fh)
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        raise InvalidConfigValue(f"checkpoint {path} is not UTF-8 JSON: {err}") from None
     found = blob.get("format") if isinstance(blob, dict) else None
     if found != CHECKPOINT_FORMAT:
         raise InvalidConfigValue(f"unrecognized checkpoint format {found!r}")
@@ -822,9 +824,7 @@ def load_checkpoint(
     if missing:
         raise InvalidConfigValue(f"checkpoint lacks key(s): {', '.join(missing)}")
     config = codec.from_json(ModelConfig, blob["config"], "config")
-    feature_dim = blob["feature_dim"]
-    if not isinstance(feature_dim, int) or isinstance(feature_dim, bool) or feature_dim < 1:
-        raise InvalidConfigValue(f"checkpoint feature_dim must be an int >= 1, got {feature_dim!r}")
+    feature_dim = _checked_int(blob["feature_dim"], "feature_dim", 1)
     specs = dict(_param_specs(feature_dim, config))
     entries = _checked_object(blob["params"], "params", tuple(specs))
     unknown = sorted(set(entries) - set(specs))
@@ -839,15 +839,22 @@ def load_checkpoint(
             )
         data = _checked_floats(entry["data"], f"params.{name}.data", int(np.prod(shape)))
         params[name] = data.reshape(shape)
-    state = ModelState(params=params, feature_dim=feature_dim, epoch=blob["epoch"])
-    pipeline = codec.decode(PipelineSettings | None, blob["pipeline"], "pipeline")
-    standardizer = None
-    if blob["standardizer"] is not None:
-        stats = _checked_object(blob["standardizer"], "standardizer", ("mean", "std"))
-        for part in ("mean", "std"):
-            _checked_floats(stats[part], f"standardizer.{part}", feature_dim)
-        standardizer = Standardizer.from_json(stats)
-    return state, config, pipeline, standardizer
+    state = ModelState(
+        params=params, feature_dim=feature_dim, epoch=_checked_int(blob["epoch"], "epoch", 0)
+    )
+    pipeline_blob = _checked_object(blob["pipeline"], "pipeline")
+    pipeline = codec.from_json(PipelineSettings, pipeline_blob, "pipeline")
+    stats = _checked_object(blob["standardizer"], "standardizer", ("mean", "std"))
+    for part in ("mean", "std"):
+        _checked_floats(stats[part], f"standardizer.{part}", feature_dim)
+    return state, config, pipeline, Standardizer.from_json(stats)
+
+
+def _checked_int(value, key: str, minimum: int) -> int:
+    """``value`` as a JSON integer of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise InvalidConfigValue(f"checkpoint {key} must be an int >= {minimum}, got {value!r}")
+    return value
 
 
 def _checked_object(value, key: str, required: tuple[str, ...] = ()) -> dict:

@@ -11,21 +11,36 @@ Fault signatures are injected at their characteristic frequencies:
 * eccentricity: current components at ``f_s +/- f_r`` where
   ``f_r = f_s * (1 - s) / p`` is the rotor mechanical frequency,
 * bearing defects: vibration tones at ``|f_s +/- m * f_v|``.
+
+Recordings are stored as CSV, the toolkit's one input format:
+write_recording_csv and read_recording_csv are its only writer and reader,
+and save_catalog/load_catalog add a manifest of labels around them.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import codec
-from .errors import InvalidConfigValue, InvalidFv, InvalidSlip, NonFinite
+from .errors import (
+    ChannelMismatch,
+    InvalidConfigValue,
+    InvalidFv,
+    InvalidSlip,
+    IoError,
+    NonFinite,
+    ParseError,
+)
 from .numerics import derive_seed, make_rng
 
 CHANNEL_NAMES = ("phase_a", "phase_b", "phase_c", "vibration")
+# Columns of a recording CSV: the time stamp, then one per channel.
+CSV_COLUMNS = ("t", *CHANNEL_NAMES)
 PHASE_OFFSETS = (0.0, -2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0)
 
 LOAD_SLIP = {0.0: 0.01, 10.0: 0.02, 30.0: 0.04, 40.0: 0.05}
@@ -367,6 +382,120 @@ def generate_catalog(
     return recordings
 
 
+def write_recording_csv(path: str | Path, recording: Recording) -> None:
+    """Write one recording CSV: header ``t,<channels>``, one row per sample.
+
+    Floats are written with repr(), so read_recording_csv gives back every
+    sample bit for bit and a rewrite is byte-identical.
+
+    Raises:
+        NonFinite: If any sample is NaN or infinite.
+    """
+    t = np.arange(recording.n_samples) / recording.sample_rate
+    table = np.column_stack([t, recording.stacked().T])
+    fields = map(repr, table.ravel().tolist())
+    rows = map(",".join, zip(*[fields] * table.shape[1]))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(row + "\n" for row in rows)
+
+
+def read_recording_csv(path: str | Path) -> Recording:
+    """Read one recording CSV in the format write_recording_csv writes.
+
+    The sample rate comes from the time column. The label, operating point
+    and seed are placeholders (healthy, no load, 0) and the name is the
+    file stem; load_catalog replaces them with the manifest entry.
+
+    Raises:
+        IoError: If the file is missing.
+        ParseError: Text that is not UTF-8, a malformed header or row,
+            fewer than two samples, or a time step that differs from the
+            first by more than 1e-6 of it, with the file and line number.
+        ChannelMismatch: If the channel columns differ from CHANNEL_NAMES.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise IoError(f"recording file not found: {path}")
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        n_lines = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 16), b""))
+    if header != (",".join(CSV_COLUMNS) + "\n").encode() or n_lines < 2:
+        _check_lines(path)
+    # Parsing from the path keeps np.loadtxt on its fast C reader. It skips
+    # blank lines, numbers rows its own way and only warns when no row is
+    # left, so when it fails or returns another row count than the file's
+    # line count, the lines are scanned one by one to name the first bad one.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            data = np.loadtxt(
+                path, delimiter=",", skiprows=1, comments=None, ndmin=2, encoding="utf-8"
+            )
+    except (ValueError, UserWarning) as err:
+        _check_lines(path)
+        raise ParseError(f"{path}: {err}") from None
+    if data.shape != (n_lines, len(CSV_COLUMNS)):
+        _check_lines(path)
+
+    dt = data[1, 0] - data[0, 0]
+    if not dt > 0:
+        raise ParseError(f"{path}: line 3: time column must be strictly increasing")
+    # Step k runs from data row k to row k + 1, which sits on line k + 3; a
+    # NaN time fails the comparison and counts as uneven.
+    uneven = np.flatnonzero(~(np.abs(np.diff(data[:, 0]) - dt) <= 1e-6 * dt))
+    if uneven.size:
+        raise ParseError(
+            f"{path}: line {uneven[0] + 3}: time step differs from the first step "
+            f"{float(dt)!r}; samples must be evenly spaced"
+        )
+    sample_rate = 1.0 / dt
+    if abs(sample_rate - round(sample_rate)) < 1e-6 * sample_rate:
+        sample_rate = float(round(sample_rate))
+    return Recording(
+        channels={name: data[:, i + 1].copy() for i, name in enumerate(CHANNEL_NAMES)},
+        sample_rate=sample_rate,
+        label=FaultSpec(kind="healthy"),
+        operating_point=OperatingPoint.from_load(0),
+        seed=0,
+        name=path.stem,
+    )
+
+
+def _check_lines(path: Path) -> None:
+    """Scan a recording CSV line by line and raise for the first bad line.
+
+    Returns when every line is well formed: the whole-file parse then only
+    counted trailing empty lines or a missing final newline differently.
+    """
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise ParseError(f"{path}: line {line}: not UTF-8 text ({err.reason})") from None
+    lines = text.rstrip("\n").split("\n")
+    columns = lines[0].split(",")
+    if columns[0] != "t":
+        raise ParseError(f"{path}: line 1: first column must be 't', got {columns[0]!r}")
+    if tuple(columns[1:]) != CHANNEL_NAMES:
+        raise ChannelMismatch(
+            f"{path}: expected channels {list(CHANNEL_NAMES)}, file has {list(columns[1:])}"
+        )
+    if len(lines) < 3:
+        raise ParseError(f"{path}: line 2: need at least two samples to infer the sample rate")
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != len(CSV_COLUMNS):
+            raise ParseError(
+                f"{path}: line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(fields)}"
+            )
+        try:
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: non-numeric field in {line!r}") from None
+
+
 def save_catalog(
     recordings: list[Recording],
     directory: str | Path,
@@ -374,9 +503,7 @@ def save_catalog(
     seed: int,
     noise_snr_db: float | None,
 ) -> Path:
-    """Write one CSV per recording plus a manifest.json into ``directory``.
-
-    Floats are written with repr() so a load/save cycle is byte-identical.
+    """Write one recording CSV per recording plus a manifest.json into ``directory``.
 
     Returns:
         Path of the manifest file.
@@ -386,12 +513,7 @@ def save_catalog(
     entries = []
     for rec in recordings:
         filename = f"{rec.name}.csv"
-        t = np.arange(rec.n_samples) / rec.sample_rate
-        columns = [t] + [rec.channels[key] for key in CHANNEL_NAMES]
-        with open(directory / filename, "w") as fh:
-            fh.write("t," + ",".join(CHANNEL_NAMES) + "\n")
-            for row in zip(*columns):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_recording_csv(directory / filename, rec)
         entries.append(
             {
                 "name": rec.name,
@@ -417,8 +539,16 @@ def save_catalog(
 def load_catalog(directory: str | Path) -> tuple[list[Recording], MachineSpec, dict]:
     """Read a catalog directory written by save_catalog.
 
+    Each file goes through read_recording_csv, so every check of a
+    ``diagnose`` input applies, and its sample rate and sample count must
+    match the manifest's machine.
+
     Returns:
         (recordings, machine, manifest) with recordings in manifest order.
+
+    Raises:
+        ParseError: If a file is malformed or disagrees with the machine,
+            naming the file.
     """
     directory = Path(directory)
     with open(directory / "manifest.json") as fh:
@@ -426,11 +556,17 @@ def load_catalog(directory: str | Path) -> tuple[list[Recording], MachineSpec, d
     machine = codec.from_json(MachineSpec, manifest["machine"], "machine")
     recordings = []
     for entry in manifest["recordings"]:
-        data = np.loadtxt(directory / entry["file"], delimiter=",", skiprows=1)
-        channels = {key: data[:, i + 1].copy() for i, key in enumerate(CHANNEL_NAMES)}
+        path = directory / entry["file"]
+        read = read_recording_csv(path)
+        rate_off = abs(read.sample_rate - machine.sample_rate) > 1e-6 * machine.sample_rate
+        if rate_off or read.n_samples != machine.n_samples:
+            raise ParseError(
+                f"{path}: {read.n_samples} samples at {read.sample_rate!r} Hz, but the manifest's "
+                f"machine records {machine.n_samples} samples at {machine.sample_rate!r} Hz"
+            )
         recordings.append(
             Recording(
-                channels=channels,
+                channels=read.channels,
                 sample_rate=machine.sample_rate,
                 label=codec.from_json(FaultSpec, entry["fault"], "fault"),
                 operating_point=codec.from_json(

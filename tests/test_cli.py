@@ -389,6 +389,22 @@ class TestDiagnose:
             "vibration",
         }
 
+    def test_bare_checkpoint_name_lives_under_out_dir(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        config = write_config(
+            tmp_path,
+            extra={
+                "paths.dataset_dir": str(root / "data"),
+                "paths.out_dir": str(tmp_path / "run"),
+                "paths.checkpoint": "model.json",
+            },
+        )
+        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        for command in (["train"], ["evaluate"], ["diagnose", recording]):
+            assert run([command[0], "--config", config, *command[1:], "--quiet"]) == 0
+        assert (tmp_path / "run" / "model.json").is_file()
+        assert json.loads(capsys.readouterr().out)["decision"]
+
 
 class TestAblate:
     def test_report_names_all_variants(self, workspace, tmp_path):
@@ -562,6 +578,41 @@ class TestErrors:
         assert self.only_error_line(capsys).startswith(
             f"[gnnase] InvalidConfigValue: checkpoint {entry} must hold "
         )
+
+    @pytest.mark.parametrize(
+        "key, value", [("pipeline", None), ("standardizer", None), ("epoch", "x"), ("epoch", -1)]
+    )
+    def test_checkpoint_bad_value_named(self, workspace, tmp_path, capsys, key, value):
+        def edit(blob):
+            blob[key] = value
+
+        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
+        assert self.only_error_line(capsys).startswith(
+            f"[gnnase] InvalidConfigValue: checkpoint {key} must be "
+        )
+
+    @pytest.mark.parametrize("content", [b"not json", b'{"format": "caf\xe9"}'], ids=["text", "latin1"])
+    def test_checkpoint_not_utf8_json(self, workspace, tmp_path, capsys, content):
+        root, config = workspace
+        checkpoint = tmp_path / "model.json"
+        checkpoint.write_bytes(content)
+        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
+        assert run(argv) == 1
+        assert self.only_error_line(capsys).startswith(
+            f"[gnnase] InvalidConfigValue: checkpoint {checkpoint} is not UTF-8 JSON: "
+        )
+
+    @pytest.mark.parametrize("edit", ["blank_line", "latin1"])
+    def test_unreadable_recording_line_named(self, workspace, tmp_path, capsys, edit):
+        root, config = workspace
+        source = sorted((root / "data").glob("healthy-*.csv"))[0]
+        lines = source.read_bytes().split(b"\n")
+        lines[3] = b"" if edit == "blank_line" else lines[3] + b"\xe9"  # line 4
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        assert run(["diagnose", "--config", config, bad, "--quiet"]) == 1
+        assert self.only_error_line(capsys).startswith(f"[simulate] ParseError: {bad}: line 4: ")
 
     @pytest.mark.parametrize("value", ["no", None, 0])
     def test_checkpoint_non_boolean_include_frequency(self, workspace, tmp_path, capsys, value):

@@ -11,7 +11,7 @@ from gnnase.errors import (
     NegativeWeight,
     ShapeMismatch,
 )
-from gnnase.features import WindowFeatures
+from gnnase.features import Standardizer, WindowFeatures
 from gnnase.graphs import NodeTargets, SignalGraph, build_graph
 from gnnase.numerics import derive_seed, finite_diff_grad, make_rng
 from gnnase.simulate import FaultSpec
@@ -621,26 +621,34 @@ class TestTrainMatchesReference:
 
 
 class TestCheckpoint:
+    @staticmethod
+    def featurization(dataset):
+        """The pipeline and a standardizer fitted on ``dataset``, as a checkpoint needs them."""
+        return model.PipelineSettings(), Standardizer.fit([n.x for g in dataset for n in g.nodes])
+
     def test_round_trip_bit_identical(self, tmp_path):
         config = model.ModelConfig(epochs=2, seed=8, **SMALL)
         dataset = tiny_dataset(4)
         state, _ = model.train(dataset, config)
-        pipeline = model.PipelineSettings()
+        pipeline, standardizer = self.featurization(dataset)
         path = tmp_path / "model.json"
-        model.save_checkpoint(path, state, config, pipeline)
+        model.save_checkpoint(path, state, config, pipeline, standardizer)
         loaded_state, loaded_config, loaded_pipeline, loaded_std = model.load_checkpoint(path)
         assert loaded_config == config
         assert loaded_pipeline == pipeline
-        assert loaded_std is None
+        assert loaded_state.epoch == state.epoch
+        assert np.array_equal(loaded_std.mean, standardizer.mean)
+        assert np.array_equal(loaded_std.std, standardizer.std)
         for name in state.params:
             assert np.array_equal(loaded_state.params[name], state.params[name])
 
     def test_save_twice_identical_bytes(self, tmp_path):
         config = model.ModelConfig(**SMALL)
         state = model.init_state(20, config)
+        featurization = self.featurization(tiny_dataset(4))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        model.save_checkpoint(p1, state, config)
-        model.save_checkpoint(p2, state, config)
+        model.save_checkpoint(p1, state, config, *featurization)
+        model.save_checkpoint(p2, state, config, *featurization)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_loaded_state_behaves_identically(self, tmp_path):
@@ -648,7 +656,7 @@ class TestCheckpoint:
         dataset = tiny_dataset(4)
         state, _ = model.train(dataset, config)
         path = tmp_path / "model.json"
-        model.save_checkpoint(path, state, config)
+        model.save_checkpoint(path, state, config, *self.featurization(dataset))
         loaded, _, _, _ = model.load_checkpoint(path)
         g = dataset[0]
         d1, _ = model.forward(g, state, config)

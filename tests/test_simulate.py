@@ -1,10 +1,13 @@
 """Tests for synthetic recording generation."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gnnase import simulate
-from gnnase.errors import InvalidConfigValue, InvalidFv, InvalidSlip
+from gnnase.errors import ChannelMismatch, InvalidConfigValue, InvalidFv, InvalidSlip, ParseError
 
 
 def tiny_machine() -> simulate.MachineSpec:
@@ -189,8 +192,12 @@ class TestCatalog:
             assert back.name == orig.name
             assert back.label == orig.label
             assert back.operating_point == orig.operating_point
+            assert back.sample_rate == orig.sample_rate
+            read = simulate.read_recording_csv(tmp_path / f"{orig.name}.csv")
+            assert read.sample_rate == orig.sample_rate
             for key in simulate.CHANNEL_NAMES:
                 assert np.array_equal(back.channels[key], orig.channels[key])
+                assert np.array_equal(read.channels[key], orig.channels[key])
 
     def test_save_twice_byte_identical(self, tmp_path):
         machine = simulate.MachineSpec(sample_rate=1000.0, duration=0.25)
@@ -200,3 +207,27 @@ class TestCatalog:
         simulate.save_catalog(recs, d2, machine, 4, 30.0)
         for f1 in sorted(d1.iterdir()):
             assert f1.read_bytes() == (d2 / f1.name).read_bytes()
+
+    @pytest.mark.parametrize("edit", ["reordered_header", "uneven_step", "other_rate", "truncated"])
+    def test_load_refuses_file_disagreeing_with_manifest(self, tmp_path, edit):
+        machine = simulate.MachineSpec(sample_rate=1000.0, duration=0.25)
+        recs = simulate.generate_catalog(machine, seed=3)[:2]
+        simulate.save_catalog(recs, tmp_path, machine, seed=3, noise_snr_db=30.0)
+        target = tmp_path / f"{recs[1].name}.csv"
+        lines = target.read_text().splitlines()
+        if edit == "reordered_header":
+            lines[0] = "t,phase_b,phase_a,phase_c,vibration"
+        elif edit == "uneven_step":
+            # Every time stamp from line 101 on moves by half a step.
+            for index in range(100, len(lines)):
+                t, rest = lines[index].split(",", 1)
+                lines[index] = f"{float(t) + 0.5e-3!r},{rest}"
+        elif edit == "truncated":
+            del lines[-10:]
+        if edit == "other_rate":
+            simulate.write_recording_csv(target, replace(recs[1], sample_rate=2000.0))
+        else:
+            target.write_text("\n".join(lines) + "\n")
+        error = ChannelMismatch if edit == "reordered_header" else ParseError
+        with pytest.raises(error, match=re.escape(str(target))):
+            simulate.load_catalog(tmp_path)
