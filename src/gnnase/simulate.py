@@ -12,9 +12,11 @@ Fault signatures are injected at their characteristic frequencies:
   ``f_r = f_s * (1 - s) / p`` is the rotor mechanical frequency,
 * bearing defects: vibration tones at ``|f_s +/- m * f_v|``.
 
-Recordings are stored as CSV, the toolkit's one input format:
-write_recording_csv and read_recording_csv are its only writer and reader,
-and save_catalog/load_catalog add a manifest of labels around them.
+A catalog is stored as one ``.npy`` array per recording next to a
+manifest.json of labels (save_catalog/load_catalog), so the samples make the
+round trip bit for bit without text. Single recordings travel as CSV, the
+input format of ``diagnose``: write_recording_csv and read_recording_csv are
+its only writer and reader.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from . import codec
 from .errors import (
     ChannelMismatch,
+    InvalidConfig,
     InvalidConfigValue,
     InvalidFv,
     InvalidSlip,
@@ -405,7 +408,7 @@ def read_recording_csv(path: str | Path) -> Recording:
 
     The sample rate comes from the time column. The label, operating point
     and seed are placeholders (healthy, no load, 0) and the name is the
-    file stem; load_catalog replaces them with the manifest entry.
+    file stem.
 
     Raises:
         IoError: If the file is missing.
@@ -503,17 +506,25 @@ def save_catalog(
     seed: int,
     noise_snr_db: float | None,
 ) -> Path:
-    """Write one recording CSV per recording plus a manifest.json into ``directory``.
+    """Write one ``<name>.npy`` per recording plus a manifest.json into ``directory``.
+
+    Each file holds the recording's (channels, samples) float64 array from
+    Recording.stacked(), rows in the manifest's ``channels`` order. The .npy
+    header is fixed text, so saving the same catalog twice writes the same
+    bytes.
 
     Returns:
         Path of the manifest file.
+
+    Raises:
+        NonFinite: If any sample is NaN or infinite.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for rec in recordings:
-        filename = f"{rec.name}.csv"
-        write_recording_csv(directory / filename, rec)
+        filename = f"{rec.name}.npy"
+        np.save(directory / filename, rec.stacked())
         entries.append(
             {
                 "name": rec.name,
@@ -525,6 +536,7 @@ def save_catalog(
         )
     manifest = {
         "machine": codec.to_json(machine),
+        "channels": list(CHANNEL_NAMES),
         "seed": seed,
         "noise_snr_db": noise_snr_db,
         "recordings": entries,
@@ -536,44 +548,113 @@ def save_catalog(
     return manifest_path
 
 
+# The manifest keys load_catalog reads, each required; a top-level "seed"
+# and "noise_snr_db" are written for the record and not read back.
+MANIFEST_KEYS = ("machine", "channels", "recordings")
+ENTRY_KEYS = ("name", "file", "fault", "operating_point", "seed")
+
+
 def load_catalog(directory: str | Path) -> tuple[list[Recording], MachineSpec, dict]:
     """Read a catalog directory written by save_catalog.
 
-    Each file goes through read_recording_csv, so every check of a
-    ``diagnose`` input applies, and its sample rate and sample count must
-    match the manifest's machine.
+    The whole manifest is checked before any recording file is read. Each
+    file is read with np.load(allow_pickle=False) and must hold one float64
+    array of shape (channels, machine.n_samples); its rows become the
+    recording's channels, and the sample rate is the manifest machine's.
 
     Returns:
         (recordings, machine, manifest) with recordings in manifest order.
 
     Raises:
-        ParseError: If a file is malformed or disagrees with the machine,
+        ParseError: A manifest that is not UTF-8 JSON, lacks a key or holds
+            a value of the wrong type, naming manifest.json and the key; a
+            file that is not a .npy array, or holds another dtype or shape,
             naming the file.
+        ChannelMismatch: If the manifest's channels differ from CHANNEL_NAMES.
+        IoError: If a recording file is missing.
     """
     directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
-    machine = codec.from_json(MachineSpec, manifest["machine"], "machine")
+    manifest, machine, entries = _read_manifest(directory / "manifest.json")
+    shape = (len(CHANNEL_NAMES), machine.n_samples)
     recordings = []
-    for entry in manifest["recordings"]:
-        path = directory / entry["file"]
-        read = read_recording_csv(path)
-        rate_off = abs(read.sample_rate - machine.sample_rate) > 1e-6 * machine.sample_rate
-        if rate_off or read.n_samples != machine.n_samples:
-            raise ParseError(
-                f"{path}: {read.n_samples} samples at {read.sample_rate!r} Hz, but the manifest's "
-                f"machine records {machine.n_samples} samples at {machine.sample_rate!r} Hz"
-            )
+    for entry, label, op in entries:
+        signals = _read_signals(directory / entry["file"], shape)
         recordings.append(
             Recording(
-                channels=read.channels,
+                channels=dict(zip(CHANNEL_NAMES, signals)),
                 sample_rate=machine.sample_rate,
-                label=codec.from_json(FaultSpec, entry["fault"], "fault"),
-                operating_point=codec.from_json(
-                    OperatingPoint, entry["operating_point"], "operating_point"
-                ),
+                label=label,
+                operating_point=op,
                 seed=entry["seed"],
                 name=entry["name"],
             )
         )
     return recordings, machine, manifest
+
+
+def _read_manifest(path: Path) -> tuple[dict, MachineSpec, list]:
+    """Parse and check manifest.json: (manifest, machine, [(entry, fault, operating point)])."""
+    try:
+        manifest = json.loads(path.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ParseError(f"{path}: not UTF-8 JSON: {err}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path}: expected an object, got {type(manifest).__name__}")
+    _require_keys(path, manifest, MANIFEST_KEYS, "")
+    if manifest["channels"] != list(CHANNEL_NAMES):
+        raise ChannelMismatch(
+            f"{path}: expected channels {list(CHANNEL_NAMES)}, "
+            f"manifest has {manifest['channels']!r}"
+        )
+    if not isinstance(manifest["recordings"], list):
+        raise ParseError(f"{path}: recordings must be a list")
+    try:
+        machine = codec.from_json(MachineSpec, manifest["machine"], "machine")
+        entries = []
+        for i, entry in enumerate(manifest["recordings"]):
+            where = f"recordings[{i}]"
+            if not isinstance(entry, dict):
+                raise ParseError(f"{path}: {where} must be an object")
+            _require_keys(path, entry, ENTRY_KEYS, f"{where}.")
+            for key, kind in (("name", str), ("file", str), ("seed", int)):
+                if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
+                    raise ParseError(
+                        f"{path}: {where}.{key} must be {kind.__name__}, got {entry[key]!r}"
+                    )
+            fault = codec.from_json(FaultSpec, entry["fault"], f"{where}.fault")
+            op = codec.from_json(
+                OperatingPoint, entry["operating_point"], f"{where}.operating_point"
+            )
+            entries.append((entry, fault, op))
+    except InvalidConfig as err:
+        raise ParseError(f"{path}: {err}") from None
+    return manifest, machine, entries
+
+
+def _require_keys(path: Path, blob: dict, keys: tuple[str, ...], prefix: str) -> None:
+    missing = [key for key in keys if key not in blob]
+    if missing:
+        raise ParseError(f"{path}: missing key(s) {', '.join(prefix + key for key in missing)}")
+
+
+def _read_signals(path: Path, shape: tuple[int, int]) -> np.ndarray:
+    """One recording file: a float64 array of ``shape``, read without unpickling."""
+    if not path.is_file():
+        raise IoError(f"recording file not found: {path}")
+    with open(path, "rb") as fh:
+        magic = np.lib.format.MAGIC_PREFIX
+        if fh.read(len(magic)) != magic:
+            raise ParseError(f"{path}: not a .npy file")
+        fh.seek(0)
+        try:
+            signals = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError) as err:
+            raise ParseError(f"{path}: unreadable .npy array: {err}") from None
+    if signals.dtype != np.float64:
+        raise ParseError(f"{path}: dtype {signals.dtype}, expected float64")
+    if signals.shape != shape:
+        raise ParseError(
+            f"{path}: shape {signals.shape}, but the manifest records {shape[0]} channels "
+            f"of {shape[1]} samples"
+        )
+    return signals

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnnase import cli, codec
+from gnnase import cli, codec, simulate
 from gnnase.config import config_from_json, config_to_json, load_config
 from gnnase.errors import ChannelMismatch, InvalidConfig, InvalidConfigValue, ParseError
 from gnnase.model import CHECKPOINT_FORMAT, CHECKPOINT_KEYS, PipelineSettings
@@ -52,7 +52,7 @@ def run(argv):
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """One simulated catalog and trained checkpoint shared by the tests."""
+    """One simulated catalog, trained checkpoint and two request CSVs shared by the tests."""
     root = tmp_path_factory.mktemp("cli")
     config = write_config(
         root,
@@ -64,6 +64,12 @@ def workspace(tmp_path_factory):
     )
     assert run(["simulate", "--config", config, "--quiet"]) == 0
     assert run(["train", "--config", config, "--quiet"]) == 0
+    # diagnose reads recording CSVs; export the catalog recordings the tests pick.
+    recordings, _, _ = simulate.load_catalog(root / "data")
+    (root / "requests").mkdir()
+    for name in ("healthy-load0", "brb-1-load0"):
+        rec = next(r for r in recordings if r.name == name)
+        simulate.write_recording_csv(root / "requests" / f"{name}.csv", rec)
     return root, config
 
 
@@ -315,7 +321,7 @@ class TestEvaluate:
 class TestDiagnose:
     def test_json_schema(self, workspace, capsys):
         root, config = workspace
-        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
         assert run(["diagnose", "--config", config, recording, "--quiet"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert set(document) == {
@@ -334,7 +340,7 @@ class TestDiagnose:
 
     def test_malformed_row_names_line(self, workspace, tmp_path, capsys):
         root, config = workspace
-        source = sorted((root / "data").glob("healthy-*.csv"))[0]
+        source = sorted((root / "requests").glob("healthy-*.csv"))[0]
         lines = source.read_text().strip().split("\n")
         lines[3] = lines[3].rsplit(",", 1)[0]  # drop one field on line 4
         bad = tmp_path / "bad.csv"
@@ -345,7 +351,7 @@ class TestDiagnose:
 
     def test_uneven_time_step_names_line(self, workspace, tmp_path):
         root, _ = workspace
-        source = sorted((root / "data").glob("healthy-*.csv"))[0]
+        source = sorted((root / "requests").glob("healthy-*.csv"))[0]
         lines = source.read_text().strip().split("\n")
         # Shift every time stamp from data row 500 (line 502) on by half a
         # step: the first two steps stay even, the one ending on line 502 is not.
@@ -359,7 +365,7 @@ class TestDiagnose:
 
     def test_nan_time_stamp_names_line(self, workspace, tmp_path):
         root, _ = workspace
-        source = sorted((root / "data").glob("healthy-*.csv"))[0]
+        source = sorted((root / "requests").glob("healthy-*.csv"))[0]
         lines = source.read_text().strip().split("\n")
         lines[301] = "nan," + lines[301].split(",", 1)[1]  # line 302
         bad = tmp_path / "nan_time.csv"
@@ -369,7 +375,7 @@ class TestDiagnose:
 
     def test_channel_mismatch(self, workspace, tmp_path, capsys):
         root, config = workspace
-        source = sorted((root / "data").glob("healthy-*.csv"))[0]
+        source = sorted((root / "requests").glob("healthy-*.csv"))[0]
         text = source.read_text()
         bad = tmp_path / "channels.csv"
         bad.write_text(text.replace("phase_a", "phase_x", 1))
@@ -378,7 +384,7 @@ class TestDiagnose:
 
     def test_read_recording_round_trip(self, workspace):
         root, _ = workspace
-        source = sorted((root / "data").glob("brb-*.csv"))[0]
+        source = sorted((root / "requests").glob("brb-*.csv"))[0]
         recording = cli.read_recording_csv(source)
         assert recording.sample_rate == 2000.0
         assert recording.n_samples == 1000
@@ -399,7 +405,7 @@ class TestDiagnose:
                 "paths.checkpoint": "model.json",
             },
         )
-        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
         for command in (["train"], ["evaluate"], ["diagnose", recording]):
             assert run([command[0], "--config", config, *command[1:], "--quiet"]) == 0
         assert (tmp_path / "run" / "model.json").is_file()
@@ -460,7 +466,7 @@ class TestErrors:
         blob["config"]["bogus"] = 1
         checkpoint = tmp_path / "model.json"
         checkpoint.write_text(json.dumps(blob))
-        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
         argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
         assert run(argv) == 1
         assert self.only_error_line(capsys) == "[cli] InvalidConfig: config.bogus: unknown key"
@@ -468,7 +474,7 @@ class TestErrors:
     @pytest.mark.parametrize("document", ["manifest", "list"])
     def test_non_checkpoint_carries_package_tag(self, workspace, tmp_path, capsys, document):
         root, config = workspace
-        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
         checkpoint = root / "data" / "manifest.json"
         if document == "list":
             checkpoint = tmp_path / "list.json"
@@ -494,7 +500,7 @@ class TestErrors:
         del blob[key]
         checkpoint = tmp_path / "model.json"
         checkpoint.write_text(json.dumps(blob))
-        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
         argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
         assert run(argv) == 1
         assert self.only_error_line(capsys) == (
@@ -505,7 +511,7 @@ class TestErrors:
         root, config = workspace
         checkpoint = tmp_path / "model.json"
         checkpoint.write_text(json.dumps({"format": CHECKPOINT_FORMAT}))
-        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
         argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
         assert run(argv) == 1
         assert self.only_error_line(capsys) == (
@@ -520,7 +526,7 @@ class TestErrors:
         edit(blob)
         checkpoint = tmp_path / "model.json"
         checkpoint.write_text(json.dumps(blob))
-        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
         argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
         return run(argv)
 
@@ -596,7 +602,7 @@ class TestErrors:
         root, config = workspace
         checkpoint = tmp_path / "model.json"
         checkpoint.write_bytes(content)
-        recording = sorted((root / "data").glob("healthy-*.csv"))[0]
+        recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
         argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
         assert run(argv) == 1
         assert self.only_error_line(capsys).startswith(
@@ -606,13 +612,41 @@ class TestErrors:
     @pytest.mark.parametrize("edit", ["blank_line", "latin1"])
     def test_unreadable_recording_line_named(self, workspace, tmp_path, capsys, edit):
         root, config = workspace
-        source = sorted((root / "data").glob("healthy-*.csv"))[0]
+        source = sorted((root / "requests").glob("healthy-*.csv"))[0]
         lines = source.read_bytes().split(b"\n")
         lines[3] = b"" if edit == "blank_line" else lines[3] + b"\xe9"  # line 4
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"\n".join(lines))
         assert run(["diagnose", "--config", config, bad, "--quiet"]) == 1
         assert self.only_error_line(capsys).startswith(f"[simulate] ParseError: {bad}: line 4: ")
+
+    @pytest.mark.parametrize("edit", ["not_json", "entry_without_seed", "csv_catalog"])
+    def test_bad_manifest_is_one_line(self, workspace, tmp_path, capsys, edit):
+        root, _ = workspace
+        dataset = tmp_path / "dataset"
+        dataset.mkdir()
+        manifest = json.loads((root / "data" / "manifest.json").read_text())
+        if edit == "entry_without_seed":
+            del manifest["recordings"][0]["seed"]
+            named = "recordings[0].seed"
+        elif edit == "csv_catalog":
+            # The manifest of a catalog stored as CSV files: no channel list.
+            del manifest["channels"]
+            for entry in manifest["recordings"]:
+                entry["file"] = entry["name"] + ".csv"
+            named = "channels"
+        manifest_path = dataset / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest))
+        if edit == "not_json":
+            manifest_path.write_text("not json")
+            named = "not UTF-8 JSON"
+        config = write_config(
+            tmp_path,
+            extra={"paths.dataset_dir": str(dataset), "paths.out_dir": str(tmp_path / "run")},
+        )
+        assert run(["train", "--config", config, "--quiet"]) == 1
+        line = self.only_error_line(capsys)
+        assert line.startswith(f"[simulate] ParseError: {manifest_path}: ") and named in line
 
     @pytest.mark.parametrize("value", ["no", None, 0])
     def test_checkpoint_non_boolean_include_frequency(self, workspace, tmp_path, capsys, value):
@@ -641,7 +675,7 @@ class TestErrors:
             blob["pipeline"]["filter"] = None
             checkpoint = tmp_path / "model.json"
             checkpoint.write_text(json.dumps(blob))
-        source = sorted((root / "data").glob("healthy-*.csv"))[0]
+        source = sorted((root / "requests").glob("healthy-*.csv"))[0]
         lines = source.read_text().strip().split("\n")
         t, a, rest = lines[300].split(",", 2)
         lines[300] = f"{t},{value},{rest}"

@@ -1,13 +1,20 @@
 """Tests for synthetic recording generation."""
 
+import json
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gnnase import simulate
-from gnnase.errors import ChannelMismatch, InvalidConfigValue, InvalidFv, InvalidSlip, ParseError
+from gnnase.errors import (
+    ChannelMismatch,
+    InvalidConfigValue,
+    InvalidFv,
+    InvalidSlip,
+    IoError,
+    ParseError,
+)
 
 
 def tiny_machine() -> simulate.MachineSpec:
@@ -187,17 +194,17 @@ class TestCatalog:
         simulate.save_catalog(recs, tmp_path, machine, seed=3, noise_snr_db=30.0)
         loaded, machine2, manifest = simulate.load_catalog(tmp_path)
         assert machine2 == machine
+        assert manifest["channels"] == list(simulate.CHANNEL_NAMES)
         assert len(loaded) == 5
         for orig, back in zip(recs, loaded):
             assert back.name == orig.name
             assert back.label == orig.label
             assert back.operating_point == orig.operating_point
-            assert back.sample_rate == orig.sample_rate
-            read = simulate.read_recording_csv(tmp_path / f"{orig.name}.csv")
-            assert read.sample_rate == orig.sample_rate
+            assert back.seed == orig.seed
+            assert back.sample_rate == orig.sample_rate == 1000.0
             for key in simulate.CHANNEL_NAMES:
-                assert np.array_equal(back.channels[key], orig.channels[key])
-                assert np.array_equal(read.channels[key], orig.channels[key])
+                assert back.channels[key].dtype == np.float64
+                assert back.channels[key].tobytes() == orig.channels[key].tobytes()
 
     def test_save_twice_byte_identical(self, tmp_path):
         machine = simulate.MachineSpec(sample_rate=1000.0, duration=0.25)
@@ -208,26 +215,109 @@ class TestCatalog:
         for f1 in sorted(d1.iterdir()):
             assert f1.read_bytes() == (d2 / f1.name).read_bytes()
 
-    @pytest.mark.parametrize("edit", ["reordered_header", "uneven_step", "other_rate", "truncated"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            "truncated",
+            "three_rows",
+            "float32",
+            "pickled_object",
+            "not_npy",
+            "missing",
+            "reordered_channels",
+            "other_rate",
+        ],
+    )
     def test_load_refuses_file_disagreeing_with_manifest(self, tmp_path, edit):
         machine = simulate.MachineSpec(sample_rate=1000.0, duration=0.25)
         recs = simulate.generate_catalog(machine, seed=3)[:2]
-        simulate.save_catalog(recs, tmp_path, machine, seed=3, noise_snr_db=30.0)
-        target = tmp_path / f"{recs[1].name}.csv"
-        lines = target.read_text().splitlines()
-        if edit == "reordered_header":
-            lines[0] = "t,phase_b,phase_a,phase_c,vibration"
-        elif edit == "uneven_step":
-            # Every time stamp from line 101 on moves by half a step.
-            for index in range(100, len(lines)):
-                t, rest = lines[index].split(",", 1)
-                lines[index] = f"{float(t) + 0.5e-3!r},{rest}"
-        elif edit == "truncated":
-            del lines[-10:]
-        if edit == "other_rate":
-            simulate.write_recording_csv(target, replace(recs[1], sample_rate=2000.0))
-        else:
-            target.write_text("\n".join(lines) + "\n")
-        error = ChannelMismatch if edit == "reordered_header" else ParseError
+        manifest_path = simulate.save_catalog(recs, tmp_path, machine, 3, 30.0)
+        manifest = json.loads(manifest_path.read_text())
+        target = tmp_path / f"{recs[1].name}.npy"
+        signals = recs[1].stacked()
+        error = ParseError
+        if edit == "truncated":
+            np.save(target, signals[:, :-10])
+        elif edit == "three_rows":
+            np.save(target, signals[:3])
+        elif edit == "float32":
+            np.save(target, signals.astype(np.float32))
+        elif edit == "pickled_object":
+            np.save(target, np.array([Tripwire()] * 4, dtype=object), allow_pickle=True)
+        elif edit == "not_npy":
+            simulate.write_recording_csv(target, recs[1])
+        elif edit == "missing":
+            target.unlink()
+            error = IoError
+        elif edit == "reordered_channels":
+            manifest["channels"] = ["phase_b", "phase_a", "phase_c", "vibration"]
+            target, error = manifest_path, ChannelMismatch
+        elif edit == "other_rate":
+            # The manifest's machine now expects 500 samples in every file.
+            manifest["machine"]["sample_rate"] = 2000.0
+            target = tmp_path / f"{recs[0].name}.npy"
+        manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(error, match=re.escape(str(target))):
             simulate.load_catalog(tmp_path)
+        assert not Tripwire.unpickled
+
+    BAD_MANIFESTS = {
+        **{f"no_{key}": key for key in simulate.MANIFEST_KEYS},
+        **{f"entry_without_{key}": f"recordings[1].{key}" for key in simulate.ENTRY_KEYS},
+        "text_seed": "recordings[1].seed",
+        "number_file": "recordings[1].file",
+        "bad_severity": "recordings[1].fault",
+        "text_rate": "machine.sample_rate",
+    }
+
+    @pytest.mark.parametrize("edit", BAD_MANIFESTS)
+    def test_load_refuses_bad_manifest(self, tmp_path, edit):
+        named = self.BAD_MANIFESTS[edit]
+        machine = simulate.MachineSpec(sample_rate=1000.0, duration=0.25)
+        recs = simulate.generate_catalog(machine, seed=3)[:2]
+        manifest_path = simulate.save_catalog(recs, tmp_path, machine, 3, 30.0)
+        manifest = json.loads(manifest_path.read_text())
+        entry = manifest["recordings"][1]
+        if edit.startswith("no_"):
+            del manifest[named]
+        elif edit.startswith("entry_without_"):
+            del entry[edit.removeprefix("entry_without_")]
+        elif edit == "text_seed":
+            entry["seed"] = "x"
+        elif edit == "number_file":
+            entry["file"] = 5
+        elif edit == "bad_severity":
+            entry["fault"]["severity"] = 2.0
+        else:
+            manifest["machine"]["sample_rate"] = "fast"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match=re.escape(str(manifest_path))) as info:
+            simulate.load_catalog(tmp_path)
+        assert named in str(info.value)
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            (b"not json", "not UTF-8 JSON"),
+            (b'{"machine": "caf\xe9"}', "not UTF-8 JSON"),
+            (b"[1, 2]", "expected an object"),
+        ],
+        ids=["text", "latin1", "list"],
+    )
+    def test_load_refuses_manifest_that_is_no_json_object(self, tmp_path, content, problem):
+        (tmp_path / "manifest.json").write_bytes(content)
+        with pytest.raises(ParseError, match=re.escape(f"manifest.json: {problem}")):
+            simulate.load_catalog(tmp_path)
+
+
+class Tripwire:
+    """Records whether an array holding it was ever unpickled."""
+
+    unpickled = False
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+def _trip():
+    Tripwire.unpickled = True
