@@ -558,7 +558,7 @@ def load_catalog(directory: str | Path) -> tuple[list[Recording], MachineSpec, d
     """Read a catalog directory written by save_catalog.
 
     The whole manifest is checked before any recording file is read. Each
-    file is read with np.load(allow_pickle=False) and must hold one float64
+    file is read as .npy without unpickling and must hold one finite float64
     array of shape (channels, machine.n_samples); its rows become the
     recording's channels, and the sample rate is the manifest machine's.
 
@@ -571,6 +571,7 @@ def load_catalog(directory: str | Path) -> tuple[list[Recording], MachineSpec, d
             file that is not a .npy array, or holds another dtype or shape,
             naming the file.
         ChannelMismatch: If the manifest's channels differ from CHANNEL_NAMES.
+        NonFinite: If a file holds a NaN or infinite sample, naming the file.
         IoError: If a recording file is missing.
     """
     directory = Path(directory)
@@ -642,14 +643,10 @@ def _read_signals(path: Path, shape: tuple[int, int]) -> np.ndarray:
     if not path.is_file():
         raise IoError(f"recording file not found: {path}")
     with open(path, "rb") as fh:
-        magic = np.lib.format.MAGIC_PREFIX
-        if fh.read(len(magic)) != magic:
-            raise ParseError(f"{path}: not a .npy file")
-        fh.seek(0)
         try:
-            signals = np.load(fh, allow_pickle=False)
+            signals = np.lib.format.read_array(fh, allow_pickle=False)
         except (ValueError, EOFError) as err:
-            raise ParseError(f"{path}: unreadable .npy array: {err}") from None
+            raise ParseError(f"{path}: not a readable .npy array: {err}") from None
     if signals.dtype != np.float64:
         raise ParseError(f"{path}: dtype {signals.dtype}, expected float64")
     if signals.shape != shape:
@@ -657,4 +654,6 @@ def _read_signals(path: Path, shape: tuple[int, int]) -> np.ndarray:
             f"{path}: shape {signals.shape}, but the manifest records {shape[0]} channels "
             f"of {shape[1]} samples"
         )
+    if not np.isfinite(signals).all():
+        raise NonFinite(f"{path}: holds NaN or infinite samples")
     return signals

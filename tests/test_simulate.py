@@ -13,6 +13,7 @@ from gnnase.errors import (
     InvalidFv,
     InvalidSlip,
     IoError,
+    NonFinite,
     ParseError,
 )
 
@@ -205,6 +206,13 @@ class TestCatalog:
             for key in simulate.CHANNEL_NAMES:
                 assert back.channels[key].dtype == np.float64
                 assert back.channels[key].tobytes() == orig.channels[key].tobytes()
+            # The recording CSV codec, used by diagnose and exports, is lossless too.
+            csv_path = tmp_path / f"{orig.name}.csv"
+            simulate.write_recording_csv(csv_path, back)
+            read = simulate.read_recording_csv(csv_path)
+            assert read.sample_rate == orig.sample_rate
+            for key in simulate.CHANNEL_NAMES:
+                assert read.channels[key].tobytes() == orig.channels[key].tobytes()
 
     def test_save_twice_byte_identical(self, tmp_path):
         machine = simulate.MachineSpec(sample_rate=1000.0, duration=0.25)
@@ -226,6 +234,7 @@ class TestCatalog:
             "missing",
             "reordered_channels",
             "other_rate",
+            "nan",
         ],
     )
     def test_load_refuses_file_disagreeing_with_manifest(self, tmp_path, edit):
@@ -256,6 +265,11 @@ class TestCatalog:
             # The manifest's machine now expects 500 samples in every file.
             manifest["machine"]["sample_rate"] = 2000.0
             target = tmp_path / f"{recs[0].name}.npy"
+        elif edit == "nan":
+            signals = signals.copy()
+            signals[3, 7] = np.nan
+            np.save(target, signals)
+            error = NonFinite
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(error, match=re.escape(str(target))):
             simulate.load_catalog(tmp_path)
