@@ -61,9 +61,12 @@ def _out_dir(config: RunConfig) -> Path:
 
 
 def _checkpoint_path(config: RunConfig) -> Path:
-    """A bare file name lives under out_dir; any other path is used as given."""
+    """A bare file name (no path separator) lives under out_dir; any other path is used as given.
+
+    ``./model.json`` is not bare: it names the file in the working directory.
+    """
     path = Path(config.checkpoint)
-    return Path(config.out_dir) / path if path.parent == Path(".") else path
+    return Path(config.out_dir) / path if path.name == config.checkpoint else path
 
 
 def _load_checkpoint(config: RunConfig):

@@ -11,7 +11,8 @@ five features per channel, concatenated over channels in a fixed order:
 
 The DC bin is excluded from both frequency features: the mean level says
 nothing about a fault and would otherwise dominate the argmax. All windows
-of a recording are featurized together, from one FFT over the stacked
+of a recording are featurized together, from one real FFT (``rfft``, which
+computes only the one-sided bins) over the stacked
 ``(channels, windows, window_len)`` array.
 """
 
@@ -72,7 +73,7 @@ def feature_names(channels=CHANNEL_NAMES, include_frequency: bool = True) -> lis
 
 
 def window_features(windows, sample_rate: float, include_frequency: bool = True) -> np.ndarray:
-    """Feature matrix of a stack of aligned windows, one FFT for all of them.
+    """Feature matrix of a stack of aligned windows, one real FFT for all of them.
 
     Every feature is a reduction along the last axis, so a window's row does
     not depend on which other windows share the call. Zero-power bins add
@@ -102,7 +103,7 @@ def window_features(windows, sample_rate: float, include_frequency: bool = True)
     if include_frequency:
         n = windows.shape[-1]
         # One-sided magnitudes without DC; bin 0 carries the window mean, not fault content.
-        mags = np.abs(np.fft.fft(windows, axis=-1)[..., : n // 2 + 1])[..., 1:]
+        mags = np.abs(np.fft.rfft(windows, axis=-1))[..., 1:]
         if np.any(np.all(mags <= SPECTRAL_FLOOR, axis=-1)):
             raise NoSpectralContent("all non-DC bins are below the magnitude floor")
         freqs = np.arange(n // 2 + 1) * sample_rate / n

@@ -34,6 +34,7 @@ no_severity ablation) cannot change anomaly or type behavior.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,7 +63,7 @@ ABLATIONS = ("full", "no_reweight", "no_severity", "no_freq_features")
 # variant must not see them.
 FREQ_NAME_MARKERS = ("f_dom", "h_spec")
 
-CHECKPOINT_FORMAT = "gnnase-checkpoint-v3"
+CHECKPOINT_FORMAT = "gnnase-checkpoint-v4"
 CHECKPOINT_KEYS = ("config", "params", "feature_dim", "epoch", "pipeline", "standardizer")
 
 # The severity head is a softmax over equal bins of [0, 1]; a node's
@@ -779,8 +780,9 @@ def save_checkpoint(
 ) -> None:
     """Write a JSON checkpoint that restores bit-identical behavior.
 
-    Tensors are stored as row-major flat lists of 64-bit floats; JSON float
-    text round-trips exactly, so a save/load cycle changes nothing.
+    Each tensor's ``data`` is base64 of its row-major little-endian float64
+    bytes, so a save/load cycle changes nothing and the file's size is fixed
+    by the tensor shapes. The standardizer stays two JSON number lists.
     """
     blob = {
         "format": CHECKPOINT_FORMAT,
@@ -790,7 +792,10 @@ def save_checkpoint(
         "pipeline": codec.to_json(pipeline),
         "standardizer": standardizer.to_json(),
         "params": {
-            name: {"shape": list(p.shape), "data": [float(v) for v in p.ravel()]}
+            name: {
+                "shape": list(p.shape),
+                "data": base64.b64encode(np.ascontiguousarray(p, dtype="<f8").tobytes()).decode(),
+            }
             for name, p in state.params.items()
         },
     }
@@ -808,8 +813,9 @@ def load_checkpoint(
 
     Raises:
         InvalidConfigValue: If the file is not UTF-8 JSON, the format tag is
-            not CHECKPOINT_FORMAT, or a key is missing, null or malformed
-            (the message names the key).
+            not CHECKPOINT_FORMAT, or a key is missing, null, malformed or
+            holds a NaN or infinite number, or a standardizer std is below
+            Standardizer.STD_FLOOR (the message names the key).
         InvalidConfig: If the config or pipeline section does not decode.
     """
     try:
@@ -837,7 +843,7 @@ def load_checkpoint(
             raise InvalidConfigValue(
                 f"checkpoint params.{name}.shape is {entry['shape']!r}, expected {list(shape)}"
             )
-        data = _checked_floats(entry["data"], f"params.{name}.data", int(np.prod(shape)))
+        data = _checked_bytes(entry["data"], f"params.{name}.data", int(np.prod(shape)))
         params[name] = data.reshape(shape)
     state = ModelState(
         params=params, feature_dim=feature_dim, epoch=_checked_int(blob["epoch"], "epoch", 0)
@@ -847,7 +853,14 @@ def load_checkpoint(
     stats = _checked_object(blob["standardizer"], "standardizer", ("mean", "std"))
     for part in ("mean", "std"):
         _checked_floats(stats[part], f"standardizer.{part}", feature_dim)
-    return state, config, pipeline, Standardizer.from_json(stats)
+    standardizer = Standardizer.from_json(stats)
+    # Standardizer.fit never goes below the floor; a smaller std would divide
+    # features by zero and score NaN as "healthy".
+    if np.any(standardizer.std < Standardizer.STD_FLOOR):
+        raise InvalidConfigValue(
+            f"checkpoint standardizer.std must hold values >= {Standardizer.STD_FLOOR}"
+        )
+    return state, config, pipeline, standardizer
 
 
 def _checked_int(value, key: str, minimum: int) -> int:
@@ -875,4 +888,24 @@ def _checked_floats(value, key: str, count: int) -> np.ndarray:
         array = None
     if array is None or array.shape != (count,):
         raise InvalidConfigValue(f"checkpoint {key} must hold {count} numbers")
+    return _finite(array, key)
+
+
+def _checked_bytes(value, key: str, count: int) -> np.ndarray:
+    """``value`` as base64 of exactly ``count`` little-endian float64s."""
+    raw = None
+    if isinstance(value, str):
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError:  # binascii.Error, or a non-ASCII character
+            pass
+    if raw is None or len(raw) != 8 * count:
+        raise InvalidConfigValue(f"checkpoint {key} must hold {count} float64s as base64")
+    return _finite(np.frombuffer(raw, "<f8").copy(), key)
+
+
+def _finite(array: np.ndarray, key: str) -> np.ndarray:
+    """``array`` unchanged, once every entry is known to be finite."""
+    if not np.isfinite(array).all():
+        raise InvalidConfigValue(f"checkpoint {key} holds a NaN or infinite number")
     return array

@@ -1,9 +1,11 @@
 """Signal cleansing and dataset augmentation.
 
-Filtering is done entirely in the frequency domain: numpy's FFT of each
-channel is scaled bin-wise by the Butterworth magnitude response and
-inverted, which gives a zero-phase low-pass without a time-domain pole/zero
-realization.
+Filtering is done entirely in the frequency domain: numpy's real FFT
+(``rfft``) of each channel is scaled bin-wise by the Butterworth magnitude
+response and inverted with ``irfft`` at the input length, which gives a
+zero-phase low-pass without a time-domain pole/zero realization. The
+response is real and even in frequency, so the one-sided spectrum carries
+the whole filter.
 
 Augmentation produces label-preserving variants of a recording through
 circular time shifts, amplitude scaling, and additive Gaussian noise.
@@ -67,7 +69,7 @@ class AugmentationSpec:
 
 
 def butterworth_filter(signal, sample_rate: float, spec: FilterSpec) -> np.ndarray:
-    """Zero-phase low-pass along the last axis: scale each FFT bin by |H(f)| and invert.
+    """Zero-phase low-pass along the last axis: scale each rfft bin by |H(f)| and invert.
 
     Args:
         signal: Real array of shape (..., n); each row is filtered on its own.
@@ -85,8 +87,10 @@ def butterworth_filter(signal, sample_rate: float, spec: FilterSpec) -> np.ndarr
             f"cutoff {spec.cutoff} Hz must stay below Nyquist {sample_rate / 2} Hz"
         )
     x = np.asarray(signal, dtype=float)
-    gain = spec.magnitude(np.fft.fftfreq(x.shape[-1], d=1.0 / sample_rate))
-    return np.fft.ifft(np.fft.fft(x, axis=-1) * gain, axis=-1).real
+    n = x.shape[-1]
+    gain = spec.magnitude(np.fft.rfftfreq(n, d=1.0 / sample_rate))
+    # irfft needs n: an odd length cannot be told from the bin count alone.
+    return np.fft.irfft(np.fft.rfft(x, axis=-1) * gain, n=n, axis=-1)
 
 
 def time_shift(signal, shift: int) -> np.ndarray:

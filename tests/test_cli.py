@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline on a small machine."""
 
+import base64
 import json
 import re
 from pathlib import Path
@@ -48,6 +49,11 @@ def write_config(tmp_path, extra=None, name="config.json"):
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def tensor_from_base64(data: str) -> np.ndarray:
+    """A checkpoint tensor's flat float64 values, decoded apart from the package."""
+    return np.frombuffer(base64.b64decode(data), dtype="<f8").copy()
 
 
 @pytest.fixture(scope="module")
@@ -411,6 +417,17 @@ class TestDiagnose:
         assert (tmp_path / "run" / "model.json").is_file()
         assert json.loads(capsys.readouterr().out)["decision"]
 
+    def test_dot_slash_checkpoint_is_used_as_given(self, workspace, tmp_path, capsys, monkeypatch):
+        root, _ = workspace
+        # out_dir holds no checkpoint: only the working directory does.
+        config = write_config(tmp_path, extra={"paths.out_dir": str(tmp_path / "run")})
+        (tmp_path / "model.json").write_bytes((root / "run" / "model.json").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
+        argv = ["diagnose", "--config", config, recording, "--checkpoint", "./model.json", "--quiet"]
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["decision"]
+
 
 class TestAblate:
     def test_report_names_all_variants(self, workspace, tmp_path):
@@ -531,14 +548,14 @@ class TestErrors:
         return run(argv)
 
     def test_previous_checkpoint_format_rejected(self, workspace, tmp_path, capsys):
-        assert CHECKPOINT_FORMAT == "gnnase-checkpoint-v3"
+        assert CHECKPOINT_FORMAT == "gnnase-checkpoint-v4"
 
         def edit(blob):
-            blob["format"] = "gnnase-checkpoint-v2"
+            blob["format"] = "gnnase-checkpoint-v3"
 
         assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
         assert self.only_error_line(capsys) == (
-            "[gnnase] InvalidConfigValue: unrecognized checkpoint format 'gnnase-checkpoint-v2'"
+            "[gnnase] InvalidConfigValue: unrecognized checkpoint format 'gnnase-checkpoint-v3'"
         )
 
     @pytest.mark.parametrize(
@@ -583,6 +600,66 @@ class TestErrors:
         assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
         assert self.only_error_line(capsys).startswith(
             f"[gnnase] InvalidConfigValue: checkpoint {entry} must hold "
+        )
+
+    @pytest.mark.parametrize("data", ["not_base64", "number_list", "number", "non_ascii"])
+    def test_checkpoint_tensor_not_base64_named(self, workspace, tmp_path, capsys, data):
+        def edit(blob):
+            entry = blob["params"]["W_embed"]
+            if data == "not_base64":
+                entry["data"] = "*" + entry["data"][1:]
+            elif data == "number_list":  # the tensor as v3 wrote it
+                entry["data"] = tensor_from_base64(entry["data"]).tolist()
+            elif data == "number":
+                entry["data"] = 1.0
+            else:
+                entry["data"] = "\u00e9" + entry["data"][1:]
+
+        root, _ = workspace
+        shape = json.loads((root / "run" / "model.json").read_text())["params"]["W_embed"]["shape"]
+        count = int(np.prod(shape))
+        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
+        assert self.only_error_line(capsys) == (
+            f"[gnnase] InvalidConfigValue: checkpoint params.W_embed.data must hold "
+            f"{count} float64s as base64"
+        )
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [
+            ("params.W_embed.data", float("nan")),
+            ("params.b_anom.data", float("inf")),
+            ("standardizer.mean", float("nan")),
+            ("standardizer.std", float("-inf")),
+        ],
+    )
+    def test_checkpoint_non_finite_value_named(self, workspace, tmp_path, capsys, entry, value):
+        section, *rest = entry.split(".")
+
+        def edit(blob):
+            target = blob[section]
+            for key in rest[:-1]:
+                target = target[key]
+            if section == "params":
+                tensor = tensor_from_base64(target["data"])
+                tensor[-1] = value
+                target["data"] = base64.b64encode(tensor.astype("<f8").tobytes()).decode()
+            else:
+                target[rest[-1]][0] = value  # json.dumps writes NaN / -Infinity
+
+        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
+        assert self.only_error_line(capsys) == (
+            f"[gnnase] InvalidConfigValue: checkpoint {entry} holds a NaN or infinite number"
+        )
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_checkpoint_std_below_floor_named(self, workspace, tmp_path, capsys, value):
+        def edit(blob):
+            blob["standardizer"]["std"][2] = value
+
+        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
+        assert self.only_error_line(capsys) == (
+            "[gnnase] InvalidConfigValue: checkpoint standardizer.std must hold values >= 1e-12"
         )
 
     @pytest.mark.parametrize(

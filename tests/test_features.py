@@ -131,6 +131,34 @@ class TestWindowFeatures:
         assert row.shape == (10,)
         assert row[5] == pytest.approx(2.0 * row[0]) and row[8] == row[3] == 50.0
 
+    def test_odd_window_len_matches_definitions(self):
+        # Reference from the definitions: a direct DFT sum over bins 1..n//2,
+        # which for odd n stops below the Nyquist frequency.
+        n, sample_rate = 33, 100.0
+        windows = make_rng(3).normal(size=(2, 3, n))
+        t = np.arange(n)
+        bins = np.arange(1, n // 2 + 1)
+        basis = np.exp(-2j * np.pi * np.outer(bins, t) / n)
+        expected = []
+        for w in range(3):
+            row = []
+            for c in range(2):
+                x = windows[c, w]
+                mags = np.abs(basis @ x)
+                p = mags**2 / np.sum(mags**2)
+                row += [
+                    x.max(),
+                    np.sqrt(np.mean(x**2)),
+                    np.mean((x - x.mean()) ** 2),
+                    bins[np.argmax(mags)] * sample_rate / n,
+                    -np.sum(p * np.log(p)),
+                ]
+            expected.append(row)
+        out = features.window_features(windows, sample_rate)
+        assert out.shape == (3, 10)
+        assert out == pytest.approx(np.array(expected), rel=1e-12, abs=1e-12)
+        assert np.array_equal(out[:, [3, 8]], np.array(expected)[:, [3, 8]])
+
     def test_one_constant_channel_rejected(self):
         windows = np.stack([sine(50.0, 1000.0, 1.0), np.full(1000, 3.0)])[:, None, :]
         with pytest.raises(NoSpectralContent):

@@ -50,6 +50,17 @@ class TestButterworthFilter:
         expected = np.fft.irfft(squared, n=256)
         assert np.max(np.abs(twice - expected)) < 1e-9
 
+    def test_odd_length_matches_real_fft_reference(self):
+        # An odd length's one-sided spectrum has no Nyquist bin; the inverse
+        # must be told n, or it returns n - 1 samples.
+        spec = preprocess.FilterSpec(cutoff=30.0, order=3)
+        x = make_rng(2).normal(size=(2, 255))
+        gain = spec.magnitude(np.fft.rfftfreq(255, d=1.0 / 256.0))
+        expected = np.fft.irfft(np.fft.rfft(x, axis=-1) * gain, n=255, axis=-1)
+        out = preprocess.butterworth_filter(x, 256.0, spec)
+        assert out.shape == (2, 255)
+        assert np.max(np.abs(out - expected)) < 1e-12
+
     def test_output_length_preserved(self):
         out = preprocess.butterworth_filter(tone(50.0, 1000.0, 0.123), 1000.0, preprocess.FilterSpec(cutoff=100.0))
         assert len(out) == round(1000.0 * 0.123)
