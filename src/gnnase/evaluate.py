@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from .errors import EmptyCatalog, InvalidRatios, UndefinedMetric
 from .features import Standardizer, extract_windows, feature_names
@@ -298,6 +297,8 @@ def spearman_rank(predicted, injected) -> float | None:
     """Spearman rank correlation; None when ranks are degenerate."""
     if len(predicted) < 2 or len(set(predicted)) < 2 or len(set(injected)) < 2:
         return None
+    from scipy import stats  # imported here so that commands which never rank skip scipy
+
     rho = stats.spearmanr(predicted, injected)[0]
     return None if np.isnan(rho) else float(rho)
 
