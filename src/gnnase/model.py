@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import codec
 from .errors import (
@@ -278,6 +278,17 @@ def gcn_layer(h: np.ndarray, graph: SignalGraph, W: np.ndarray, activation: str 
     return np.maximum(out, 0.0) if activation == "relu" else out
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic per entry via libm's ``math.exp`` (not ``np.exp``), bit-identical to scipy's expit."""
+    out = []
+    for v in z.ravel().tolist():
+        try:
+            out.append(1.0 / (1.0 + math.exp(-v)))
+        except OverflowError:
+            out.append(0.0)
+    return np.array(out, dtype=float).reshape(z.shape)
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - np.max(z, axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -320,7 +331,7 @@ def _forward_cache(
     cache["H2"] = np.maximum(cache["Z2"], 0.0)
 
     cache["za"] = cache["H2"] @ params["W_anom"] + params["b_anom"]
-    cache["prob"] = expit(cache["za"])
+    cache["prob"] = _sigmoid(cache["za"])
     cache["zt"] = cache["H2"] @ params["W_type"] + params["b_type"]
     cache["type_probs"] = _softmax(cache["zt"])
 
