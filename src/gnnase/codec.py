@@ -3,15 +3,17 @@
 Encoding is ``dataclasses.asdict`` with tuples written as lists. Decoding
 walks the type hints of the target dataclass: bool, int, float, str,
 ``X | None``, fixed-length tuples and nested dataclasses are checked here
-(an int is accepted for a float, a bool is not accepted as a number, and
-only a JSON boolean is accepted as a bool). Unknown keys are rejected, and
-every error is an InvalidConfig naming the key path.
+(an int is accepted for a float, a float must be finite, a bool is not
+accepted as a number, and only a JSON boolean is accepted as a bool).
+Unknown keys are rejected, and every error is an InvalidConfig naming the
+key path.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 
@@ -92,8 +94,14 @@ def decode(hint, value, path: str):
         if not isinstance(value, (list, tuple)) or len(value) != len(args):
             raise InvalidConfig(f"{path}: expected {len(args)} values, got {value!r}")
         return tuple(decode(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-    if hint is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+    if hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond float64's range
+            number = math.inf
+        if not math.isfinite(number):  # json reads the NaN and Infinity literals
+            raise InvalidConfig(f"{path}: expected a finite number, got {value!r}")
+        return number
     if not isinstance(value, hint) or isinstance(value, bool):
         raise InvalidConfig(f"{path}: expected {hint.__name__}, got {value!r}")
     return value

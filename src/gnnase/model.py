@@ -892,13 +892,14 @@ def _checked_object(value, key: str, required: tuple[str, ...] = ()) -> dict:
 
 
 def _checked_floats(value, key: str, count: int) -> np.ndarray:
-    """``value`` as a flat float64 array of exactly ``count`` numbers."""
+    """``value`` as a float64 array, once it is a JSON list of exactly ``count`` numbers."""
+    numbers = isinstance(value, list) and len(value) == count
+    if not numbers or not all(type(v) in (int, float) for v in value):
+        raise InvalidConfigValue(f"checkpoint {key} must hold {count} numbers")
     try:
         array = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        array = None
-    if array is None or array.shape != (count,):
-        raise InvalidConfigValue(f"checkpoint {key} must hold {count} numbers")
+    except OverflowError:  # an integer beyond float64's range
+        array = np.array([np.inf])
     return _finite(array, key)
 
 

@@ -2,7 +2,10 @@
 
 import base64
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from gnnase.errors import ChannelMismatch, InvalidConfig, InvalidConfigValue, Pa
 from gnnase.model import CHECKPOINT_FORMAT, CHECKPOINT_KEYS, PipelineSettings
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Small signals keep the full pipeline under a second per command: 2 kHz
 # for 0.5 s gives 1000 samples and six 256-sample windows per recording.
@@ -77,6 +81,21 @@ def workspace(tmp_path_factory):
         rec = next(r for r in recordings if r.name == name)
         simulate.write_recording_csv(root / "requests" / f"{name}.csv", rec)
     return root, config
+
+
+def test_cli_import_loads_no_scipy():
+    # simulate, train and diagnose never need scipy; only severity ranking imports it.
+    code = (
+        "import sys, gnnase.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
 
 
 class TestConfig:
@@ -304,6 +323,13 @@ class TestEvaluate:
         assert run(["evaluate", "--config", config, "--quiet"]) == 0
         assert first == (root / "run" / "report.csv").read_bytes()
 
+    def test_report_ranks_severity(self, workspace):
+        root, config = workspace
+        assert run(["evaluate", "--config", config, "--quiet"]) == 0
+        rows = [line.split(",") for line in (root / "run" / "report.csv").read_text().splitlines()]
+        rhos = [float(row[3]) for row in rows if row[2] == "severity_spearman"]
+        assert rhos and all(-1.0 <= rho <= 1.0 for rho in rhos)
+
     def test_recount_from_predictions_csv(self, workspace):
         root, config = workspace
         assert run(["evaluate", "--config", config, "--quiet"]) == 0
@@ -464,6 +490,18 @@ class TestErrors:
         assert run(["train", "--config", config, "--quiet"]) == 1
         assert self.only_error_line(capsys).startswith("[cli] InvalidConfig: augment.scale_range")
 
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), float("-inf"), 10**400],
+        ids=["nan", "inf", "-inf", "10**400"],
+    )
+    def test_non_finite_config_value_named(self, tmp_path, capsys, value):
+        config = write_config(tmp_path, extra={"model.learning_rate": value})  # NaN / Infinity
+        assert run(["train", "--config", config, "--quiet"]) == 1
+        assert self.only_error_line(capsys).startswith(
+            "[cli] InvalidConfig: model.learning_rate: expected a finite number, got "
+        )
+
     def test_null_model_seed(self, workspace, tmp_path, capsys):
         root, _ = workspace
         config = write_config(
@@ -600,6 +638,20 @@ class TestErrors:
         assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
         assert self.only_error_line(capsys).startswith(
             f"[gnnase] InvalidConfigValue: checkpoint {entry} must hold "
+        )
+
+    @pytest.mark.parametrize("kind", ["strings", "booleans"])
+    def test_checkpoint_standardizer_non_numbers_named(self, workspace, tmp_path, capsys, kind):
+        root, _ = workspace
+        count = len(json.loads((root / "run" / "model.json").read_text())["standardizer"]["mean"])
+
+        def edit(blob):
+            mean = blob["standardizer"]["mean"]
+            mean[:] = [str(v) for v in mean] if kind == "strings" else [True] * count
+
+        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
+        assert self.only_error_line(capsys) == (
+            f"[gnnase] InvalidConfigValue: checkpoint standardizer.mean must hold {count} numbers"
         )
 
     @pytest.mark.parametrize("data", ["not_base64", "number_list", "number", "non_ascii"])

@@ -120,6 +120,17 @@ class TestForward:
         # A uniform softmax over the severity bins scores the mean bin centre.
         assert diagnosis.node_severity == pytest.approx(np.full(6, 0.5))
 
+    def test_sigmoid_bit_identical_to_expit(self):
+        from scipy.special import expit
+
+        # The overflow edge of exp(-v) lies between -709.78 and -709.79.
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, -709.78, -709.79, -745.2]
+        grid = np.linspace(-800.0, 800.0, 160_001)
+        z = np.concatenate([grid, specials, make_rng(0).normal(size=993)]).reshape(-1, 2, 3)
+        out = model._sigmoid(z)
+        assert out.shape == z.shape and out.dtype == np.float64
+        assert np.array_equal(out.view(np.int64), expit(z).view(np.int64))
+
     def test_eval_mode_deterministic(self):
         g = random_graph(seed=5)
         config = model.ModelConfig()
