@@ -893,8 +893,9 @@ def _checked_object(value, key: str, required: tuple[str, ...] = ()) -> dict:
 
 def _checked_floats(value, key: str, count: int) -> np.ndarray:
     """``value`` as a float64 array, once it is a JSON list of exactly ``count`` numbers."""
-    numbers = isinstance(value, list) and len(value) == count
-    if not numbers or not all(type(v) in (int, float) for v in value):
+    if not isinstance(value, list) or len(value) != count or any(
+        type(v) not in (int, float) for v in value
+    ):
         raise InvalidConfigValue(f"checkpoint {key} must hold {count} numbers")
     try:
         array = np.array(value, dtype=float)

@@ -496,7 +496,7 @@ class TestErrors:
         ids=["nan", "inf", "-inf", "10**400"],
     )
     def test_non_finite_config_value_named(self, tmp_path, capsys, value):
-        config = write_config(tmp_path, extra={"model.learning_rate": value})  # NaN / Infinity
+        config = write_config(tmp_path, extra={"model.learning_rate": value})  # json writes NaN, Infinity
         assert run(["train", "--config", config, "--quiet"]) == 1
         assert self.only_error_line(capsys).startswith(
             "[cli] InvalidConfig: model.learning_rate: expected a finite number, got "
@@ -683,6 +683,7 @@ class TestErrors:
             ("params.b_anom.data", float("inf")),
             ("standardizer.mean", float("nan")),
             ("standardizer.std", float("-inf")),
+            pytest.param("standardizer.mean", 10**400, id="standardizer.mean-10**400"),
         ],
     )
     def test_checkpoint_non_finite_value_named(self, workspace, tmp_path, capsys, entry, value):
