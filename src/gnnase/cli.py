@@ -54,9 +54,13 @@ def _ensure_parent(path: Path):
 
 
 def _out_dir(config: RunConfig) -> Path:
+    """The output directory, whose parent must exist.
+
+    Commands create it only once their inputs have loaded, so a command that
+    fails on a missing input leaves no directory behind.
+    """
     out = Path(config.out_dir)
     _ensure_parent(out)
-    out.mkdir(exist_ok=True)
     return out
 
 
@@ -111,9 +115,12 @@ def cmd_train(args) -> int:
     config = load_config(args.config, _overrides(args))
     out = _out_dir(config)
     checkpoint_path = _checkpoint_path(config)
-    _ensure_parent(checkpoint_path)
+    # A checkpoint in out_dir itself is written after out_dir is created.
+    if checkpoint_path.parent.absolute() != out.absolute():
+        _ensure_parent(checkpoint_path)
 
     recordings, _, _ = _load_dataset(config)
+    out.mkdir(exist_ok=True)
     train_recs, val_recs, test_recs = split(recordings, config.ratios, seed=config.split_seed())
     if config.augment.copies > 0:
         # Augment the training split only; variants of one recording must
@@ -155,6 +162,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(config)
     state, model_config, pipeline, standardizer = _load_checkpoint(config)
     recordings, _, _ = _load_dataset(config)
+    out.mkdir(exist_ok=True)
     splits = split(recordings, config.ratios, seed=config.split_seed())
     test_recs = splits[2]
 
@@ -208,6 +216,7 @@ def cmd_ablate(args) -> int:
     config = load_config(args.config, _overrides(args))
     out = _out_dir(config)
     recordings, _, _ = _load_dataset(config)
+    out.mkdir(exist_ok=True)
 
     report = run_ablation(
         recordings,

@@ -301,13 +301,47 @@ class TestTrain:
 
     def test_missing_dataset_fails(self, tmp_path, capsys):
         config = write_config(
-            tmp_path, extra={"paths.dataset_dir": str(tmp_path / "nowhere")}
+            tmp_path,
+            extra={
+                "paths.dataset_dir": str(tmp_path / "nowhere"),
+                "paths.out_dir": str(tmp_path / "run"),
+            },
         )
         assert run(["train", "--config", config, "--quiet"]) == 1
         assert "IoError" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+    def test_missing_checkpoint_parent_fails(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        config = write_config(
+            tmp_path,
+            extra={
+                "paths.dataset_dir": str(root / "data"),
+                "paths.out_dir": str(tmp_path / "run"),
+                "paths.checkpoint": str(tmp_path / "nowhere" / "model.json"),
+            },
+        )
+        assert run(["train", "--config", config, "--quiet"]) == 1
+        assert "parent directory does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestEvaluate:
+    def test_missing_checkpoint_fails(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        config = write_config(
+            tmp_path,
+            extra={
+                "paths.dataset_dir": str(root / "data"),
+                "paths.out_dir": str(tmp_path / "run"),
+                "paths.checkpoint": "model.json",
+            },
+        )
+        assert run(["evaluate", "--config", config, "--quiet"]) == 1
+        assert "checkpoint not found" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_report_files(self, workspace):
         root, config = workspace
         assert run(["evaluate", "--config", config, "--quiet"]) == 0
@@ -456,6 +490,18 @@ class TestDiagnose:
 
 
 class TestAblate:
+    def test_missing_dataset_fails(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            extra={
+                "paths.dataset_dir": str(tmp_path / "nowhere"),
+                "paths.out_dir": str(tmp_path / "ablation"),
+            },
+        )
+        assert run(["ablate", "--config", config, "--quiet"]) == 1
+        assert "IoError" in capsys.readouterr().err
+        assert not (tmp_path / "ablation").exists()
+
     def test_report_names_all_variants(self, workspace, tmp_path):
         root, _ = workspace
         config = write_config(

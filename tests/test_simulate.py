@@ -16,6 +16,7 @@ from gnnase.errors import (
     NonFinite,
     ParseError,
 )
+from gnnase.numerics import derive_seed
 
 
 def tiny_machine() -> simulate.MachineSpec:
@@ -182,6 +183,39 @@ class TestCatalog:
         assert [r.name for r in a] == [r.name for r in b]
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.channels["vibration"], rb.channels["vibration"])
+
+    @pytest.mark.parametrize("noise", [30.0, None], ids=["30dB", "clean"])
+    @pytest.mark.parametrize(
+        "machine",
+        [simulate.MachineSpec(), simulate.MachineSpec(sample_rate=20_000.0, duration=4.0)],
+        ids=["default", "4s-20kHz"],
+    )
+    def test_catalog_matches_standalone_synthesis(self, machine, noise, monkeypatch):
+        recs = iter(simulate.generate_catalog(machine, seed=4, noise_snr_db=noise))
+        # The reference computes every wave afresh, so a table key that lets
+        # two different waves share an entry shows as a changed sample.
+        monkeypatch.setattr(simulate, "_wave", lambda waves, key, make: make())
+        for fault in simulate.catalog_faults():
+            for load in simulate.LOAD_GRID:
+                rec = next(recs)
+                seed = derive_seed(4, "recording", rec.name)
+                alone = simulate.synthesize(
+                    machine, simulate.OperatingPoint.from_load(load), fault, noise, seed
+                )
+                assert (rec.name, rec.seed) == (alone.name, seed)
+                for key in simulate.CHANNEL_NAMES:
+                    assert np.array_equal(rec.channels[key], alone.channels[key]), rec.name
+        assert next(recs, None) is None
+
+    def test_wave_table_is_read_only(self):
+        waves = {}
+        op = simulate.OperatingPoint.from_load(10.0)
+        fault = simulate.FaultSpec(kind="eccentricity", subtype="mixed", severity=0.5)
+        simulate._synthesize(tiny_machine(), op, fault, None, 0, waves)
+        assert len(waves) == 3 + 1 + 6 + 1  # supply phases, rotor tone, sidebands, envelope
+        for wave in waves.values():
+            with pytest.raises(ValueError, match="read-only"):
+                wave += 1.0
 
     def test_severities_in_range_and_seeds_distinct(self):
         recs = simulate.generate_catalog(tiny_machine(), seed=2, noise_snr_db=None)
