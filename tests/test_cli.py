@@ -311,7 +311,6 @@ class TestTrain:
         assert "IoError" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-
     def test_missing_checkpoint_parent_fails(self, workspace, tmp_path, capsys):
         root, _ = workspace
         config = write_config(
