@@ -26,7 +26,6 @@ from .evaluate import (
 )
 from .graphs import TYPE_CLASSES
 from .model import diagnose, load_checkpoint, recording_to_graph, save_checkpoint, train
-from .preprocess import augment_dataset
 from .simulate import generate_catalog, load_catalog, read_recording_csv, save_catalog
 
 def _say(args, message: str, stream=None):
@@ -122,17 +121,6 @@ def cmd_train(args) -> int:
     recordings, _, _ = _load_dataset(config)
     out.mkdir(exist_ok=True)
     train_recs, val_recs, test_recs = split(recordings, config.ratios, seed=config.split_seed())
-    if config.augment.copies > 0:
-        # Augment the training split only; variants of one recording must
-        # never straddle the split boundary.
-        train_recs = augment_dataset(
-            train_recs,
-            config.augment.copies,
-            config.augment_seed(),
-            max_shift_fraction=config.augment.max_shift_fraction,
-            scale_range=config.augment.scale_range,
-            noise_fraction=config.augment.noise_fraction,
-        )
     pipeline = config.pipeline(include_frequency=config.model.ablation != "no_freq_features")
     train_g, val_g, _, standardizer = featurize_splits(
         (train_recs, val_recs, test_recs), pipeline

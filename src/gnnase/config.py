@@ -29,20 +29,6 @@ FLAT_SECTIONS = {
 
 
 @dataclass(frozen=True)
-class AugmentSettings:
-    """Training-split augmentation; copies=0 disables it."""
-
-    copies: int = 0
-    max_shift_fraction: float = 0.1
-    scale_range: tuple[float, float] = (0.8, 1.2)
-    noise_fraction: float = 0.01
-
-    def __post_init__(self):
-        if self.copies < 0:
-            raise InvalidConfigValue(f"copies must be >= 0, got {self.copies}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     machine: MachineSpec = field(default_factory=MachineSpec)
@@ -50,7 +36,6 @@ class RunConfig:
     noise_snr_db: float | None = 30.0
     window: WindowSpec = field(default_factory=WindowSpec)
     filter: FilterSpec | None = field(default_factory=FilterSpec)
-    augment: AugmentSettings = field(default_factory=AugmentSettings)
     model: ModelConfig = field(default_factory=ModelConfig)
     ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
     neighbors: int = 4
@@ -79,9 +64,6 @@ class RunConfig:
 
     def split_seed(self) -> int:
         return derive_seed(self.seed, "split-stage")
-
-    def augment_seed(self) -> int:
-        return derive_seed(self.seed, "augment-stage")
 
     def train_seed(self) -> int:
         return derive_seed(self.seed, "train-stage")

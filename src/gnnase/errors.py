@@ -48,18 +48,6 @@ class CutoffAboveNyquist(DiagnosticsError):
     module = "preprocess"
 
 
-class ShiftTooLarge(DiagnosticsError):
-    module = "preprocess"
-
-
-class NonPositiveScale(DiagnosticsError):
-    module = "preprocess"
-
-
-class NegativeSigma(DiagnosticsError):
-    module = "preprocess"
-
-
 # -- feature extraction -----------------------------------------------------
 
 class EmptyWindow(DiagnosticsError):

@@ -81,8 +81,8 @@ def row_cosines(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Cosine of every row pair (a[k], b[k]), clamped into [-1, 1].
 
     Each row's result depends on that row alone, so a single pair and a
-    batch of pairs give the same bits; graph construction, edge_weight and
-    the model's edge reweighting all compute cosines here.
+    batch of pairs give the same bits; graph construction and the model's
+    edge reweighting both compute cosines here.
 
     Returns:
         (cosines, undefined): undefined marks pairs where either norm is
@@ -100,28 +100,6 @@ def row_cosines(a, b) -> tuple[np.ndarray, np.ndarray]:
 def similarity_weight(cos):
     """Cosine mapped affinely into [0, 1]: w = (1 + c) / 2 (scalar or array)."""
     return (1.0 + cos) / 2.0
-
-
-def cosine_similarity(x, y) -> float:
-    """Inner product over the product of norms, clamped into [-1, 1].
-
-    Raises:
-        ZeroVector: If either vector's norm is at most 1e-12.
-        ShapeMismatch: If dimensions differ.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ShapeMismatch(f"vectors differ in shape: {x.shape} vs {y.shape}")
-    cos, undefined = row_cosines(x.reshape(1, -1), y.reshape(1, -1))
-    if undefined[0]:
-        raise ZeroVector("cosine similarity is undefined for near-zero vectors")
-    return float(cos[0])
-
-
-def edge_weight(x, y) -> float:
-    """Cosine mapped into [0, 1]: w = (1 + c) / 2."""
-    return similarity_weight(cosine_similarity(x, y))
 
 
 def build_graph(

@@ -50,7 +50,7 @@ def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox) fully specified by its seed.
 
     Identical seeds produce identical streams on every platform, which is
-    the reproducibility contract for dataset synthesis, augmentation,
+    the reproducibility contract for dataset synthesis, split shuffling,
     parameter initialization, and dropout.
     """
     return np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))

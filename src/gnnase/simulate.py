@@ -275,9 +275,6 @@ def synthesize(
     fault: FaultSpec,
     noise_snr_db: float | None = 30.0,
     seed: int = 0,
-    kappa_brb: float = KAPPA_BRB,
-    kappa_ecc: float = KAPPA_ECC,
-    kappa_bearing: float = KAPPA_BEARING,
 ) -> Recording:
     """Synthesize one labeled recording.
 
@@ -286,13 +283,13 @@ def synthesize(
     tone at the rotor frequency. Fault components are added on top:
 
     * broken_bars: sidebands at ``(1 +/- 2s) * f_s`` on every phase, each
-      with amplitude ``severity * kappa_brb * rated_current``;
+      with amplitude ``severity * KAPPA_BRB * rated_current``;
     * eccentricity: components at ``f_s +/- f_r`` with amplitude
-      ``severity * kappa_ecc * rated_current`` — plain tones for the static
+      ``severity * KAPPA_ECC * rated_current`` — plain tones for the static
       subtype, slip-frequency amplitude modulation for dynamic, the sum of
       both for mixed;
     * bearing: vibration tones at ``|f_s +/- m * fv|`` for m = 1..3 with
-      amplitude ``severity * kappa_bearing * baseline / m``.
+      amplitude ``severity * KAPPA_BEARING * baseline / m``.
 
     Independent Gaussian noise is then added to every channel, scaled so
     each channel individually meets ``noise_snr_db``; pass None to disable.
@@ -307,9 +304,7 @@ def synthesize(
     Returns:
         Recording with channels phase_a, phase_b, phase_c, vibration.
     """
-    return _synthesize(
-        machine, op, fault, noise_snr_db, seed, {}, kappa_brb, kappa_ecc, kappa_bearing
-    )
+    return _synthesize(machine, op, fault, noise_snr_db, seed, {})
 
 
 def _synthesize(
@@ -319,9 +314,6 @@ def _synthesize(
     noise_snr_db: float | None,
     seed: int,
     waves: dict,
-    kappa_brb: float = KAPPA_BRB,
-    kappa_ecc: float = KAPPA_ECC,
-    kappa_bearing: float = KAPPA_BEARING,
 ) -> Recording:
     """synthesize, drawing every cosine from ``waves``.
 
@@ -342,12 +334,12 @@ def _synthesize(
     vibration = _tone(t, waves, VIBRATION_BASELINE, op.rotor_frequency(machine))
 
     if fault.kind == "broken_bars":
-        level = fault.severity * kappa_brb * amp
+        level = fault.severity * KAPPA_BRB * amp
         for f in brb_sidebands(f_s, op.slip):
             for i, off in enumerate(PHASE_OFFSETS):
                 phases[i] += _tone(t, waves, level, f, off)
     elif fault.kind == "eccentricity":
-        level = fault.severity * kappa_ecc * amp
+        level = fault.severity * KAPPA_ECC * amp
         f_r = op.rotor_frequency(machine)
         # Slow amplitude modulation at the slip frequency marks the dynamic
         # subtype; mixed carries both the steady and the modulated part.
@@ -365,7 +357,7 @@ def _synthesize(
                     phases[i] += component + envelope * component
     elif fault.kind == "bearing":
         for m in range(1, BEARING_HARMONICS + 1):
-            level = fault.severity * kappa_bearing * VIBRATION_BASELINE / m
+            level = fault.severity * KAPPA_BEARING * VIBRATION_BASELINE / m
             vibration += _tone(t, waves, level, abs(f_s + m * fault.fv))
             vibration += _tone(t, waves, level, abs(f_s - m * fault.fv))
 

@@ -20,7 +20,7 @@ from gnnase import cli, model, simulate
 from gnnase import evaluate as ev
 from gnnase.config import config_from_json
 from gnnase.features import ALL_FEATURES, WindowFeatures, window_features
-from gnnase.graphs import NodeTargets, build_graph, edge_weight
+from gnnase.graphs import NodeTargets, build_graph, row_cosines, similarity_weight
 from gnnase.numerics import derive_seed, finite_diff_grad, make_rng
 from gnnase.preprocess import FilterSpec, butterworth_filter
 
@@ -249,7 +249,8 @@ def test_06_reweighting_identities():
     assert model.reweight_edges(edges, h, 0.0) == edges  # bit-identical
 
     for (i, j, w) in model.reweight_edges(edges, h, 1.0):
-        assert w == edge_weight(h[i], h[j])  # similarity replaces the weight
+        # similarity replaces the weight
+        assert w == similarity_weight(row_cosines(h[i][None], h[j][None])[0])[0]
 
     # Rows (1,0) and (0.6,0.8) have cosine 0.6, so f = 0.8 exactly. The
     # doubles nearest 0.4 and 0.8 blend, in exact real arithmetic, to a

@@ -224,7 +224,7 @@ class TestExtractWindows:
 class TestShiftAndScaleInvariance:
     def test_full_window_spectral_features_shift_invariant(self):
         x = sine(50.0, 1000.0, 1.0) + sine(120.0, 1000.0, 1.0, 0.4)
-        base, moved = feats(x, 1000.0), feats(preprocess.time_shift(x, 137), 1000.0)
+        base, moved = feats(x, 1000.0), feats(np.roll(x, -137), 1000.0)
         assert moved["f_dom"] == base["f_dom"]
         assert moved["h_spec"] == pytest.approx(base["h_spec"], abs=1e-9)
         assert moved["rms"] == pytest.approx(base["rms"], abs=1e-9)
@@ -232,7 +232,7 @@ class TestShiftAndScaleInvariance:
 
     def test_scale_maps_features_homogeneously(self):
         x = sine(50.0, 1000.0, 1.0) + 0.1 * make_rng(5).normal(size=1000)
-        base, scaled = feats(x, 1000.0), feats(preprocess.amplitude_scale(x, 3.0), 1000.0)
+        base, scaled = feats(x, 1000.0), feats(3.0 * x, 1000.0)
         assert scaled["rms"] == pytest.approx(3.0 * base["rms"], rel=1e-12)
         assert scaled["variance"] == pytest.approx(9.0 * base["variance"], rel=1e-12)
         assert scaled["f_dom"] == base["f_dom"]

@@ -1,12 +1,10 @@
-"""Tests for filtering and augmentation."""
+"""Tests for filtering."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gnnase import preprocess, simulate
-from gnnase.errors import CutoffAboveNyquist, NegativeSigma, NonPositiveScale, ShiftTooLarge
+from gnnase.errors import CutoffAboveNyquist
 from gnnase.numerics import make_rng
 
 
@@ -64,106 +62,6 @@ class TestButterworthFilter:
     def test_output_length_preserved(self):
         out = preprocess.butterworth_filter(tone(50.0, 1000.0, 0.123), 1000.0, preprocess.FilterSpec(cutoff=100.0))
         assert len(out) == round(1000.0 * 0.123)
-
-
-class TestTimeShift:
-    def test_zero_shift_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(preprocess.time_shift(x, 0), x)
-
-    def test_hand_example(self):
-        assert np.array_equal(preprocess.time_shift([1.0, 2.0, 3.0, 4.0], 1), [2.0, 3.0, 4.0, 1.0])
-
-    def test_composition_full_cycle_identity(self):
-        x = make_rng(2).normal(size=10)
-        out = preprocess.time_shift(preprocess.time_shift(x, 7), 3)
-        assert np.array_equal(out, x)
-
-    def test_too_large_rejected(self):
-        with pytest.raises(ShiftTooLarge):
-            preprocess.time_shift([1.0, 2.0], 2)
-
-    @given(st.integers(min_value=-31, max_value=31), st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=40, deadline=None)
-    def test_preserves_rms_and_spectral_magnitude(self, shift, seed):
-        x = make_rng(seed).normal(size=32)
-        shifted = preprocess.time_shift(x, shift)
-        assert np.sqrt(np.mean(shifted**2)) == pytest.approx(np.sqrt(np.mean(x**2)), abs=1e-9)
-        assert np.abs(np.fft.rfft(shifted)) == pytest.approx(np.abs(np.fft.rfft(x)), abs=1e-9)
-
-
-class TestAmplitudeScale:
-    def test_identity(self):
-        x = np.array([1.0, -2.0])
-        assert np.array_equal(preprocess.amplitude_scale(x, 1.0), x)
-
-    def test_rms_scales_linearly(self):
-        scaled = preprocess.amplitude_scale(tone(5.0, 1000.0), 2.0)
-        assert np.sqrt(np.mean(scaled**2)) == pytest.approx(2.0 / np.sqrt(2.0), abs=1e-6)
-
-    def test_inverse_scale_round_trip(self):
-        x = make_rng(3).normal(size=50)
-        back = preprocess.amplitude_scale(preprocess.amplitude_scale(x, 3.7), 1 / 3.7)
-        assert np.max(np.abs(back - x)) < 1e-12
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(NonPositiveScale):
-            preprocess.amplitude_scale([1.0], 0.0)
-
-
-class TestAddNoise:
-    def test_sigma_zero_identity(self):
-        x = np.array([1.0, 2.0])
-        assert np.array_equal(preprocess.add_noise(x, 0.0, 5), x)
-
-    def test_variance_matches_sigma(self):
-        out = preprocess.add_noise(np.zeros(100_000), 1.0, 9)
-        assert 0.97 <= float(np.var(out)) <= 1.03
-
-    def test_deterministic(self):
-        a = preprocess.add_noise(np.zeros(100), 0.5, 4)
-        b = preprocess.add_noise(np.zeros(100), 0.5, 4)
-        assert np.array_equal(a, b)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(NegativeSigma):
-            preprocess.add_noise([0.0], -1.0, 0)
-
-
-class TestAugmentDataset:
-    @staticmethod
-    def small_recordings(n=3):
-        machine = simulate.MachineSpec(sample_rate=1000.0, duration=0.2)
-        return simulate.generate_catalog(machine, seed=1)[:n]
-
-    def test_zero_copies_identity(self):
-        recs = self.small_recordings()
-        assert preprocess.augment_dataset(recs, 0, 7) == recs
-
-    def test_counts(self):
-        recs = self.small_recordings(3)
-        out = preprocess.augment_dataset(recs, 2, 7)
-        assert len(out) == 9
-
-    def test_labels_and_channels_preserved(self):
-        recs = self.small_recordings(2)
-        out = preprocess.augment_dataset(recs, 3, 7)
-        labels = {r.name.split("-aug")[0]: r.label for r in out}
-        for rec in out:
-            assert rec.label == labels[rec.name.split("-aug")[0]]
-            assert set(rec.channels) == set(simulate.CHANNEL_NAMES)
-
-    def test_deterministic(self):
-        recs = self.small_recordings(2)
-        a = preprocess.augment_dataset(recs, 2, 11)
-        b = preprocess.augment_dataset(recs, 2, 11)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.channels["phase_a"], rb.channels["phase_a"])
-
-    def test_variants_differ_from_source(self):
-        recs = self.small_recordings(1)
-        out = preprocess.augment_dataset(recs, 1, 13)
-        assert not np.array_equal(out[0].channels["phase_a"], out[1].channels["phase_a"])
 
 
 class TestFilterRecording:
