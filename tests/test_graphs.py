@@ -24,14 +24,33 @@ HEALTHY = FaultSpec(kind="healthy")
 
 
 class TestCosineSimilarity:
+    def test_identical_vectors(self):
+        cos, undefined = graphs.row_cosines([[1.0, 2.0]], [[1.0, 2.0]])
+        assert cos == pytest.approx([1.0])
+        assert not undefined.any()
+
+    def test_orthogonal(self):
+        cos, undefined = graphs.row_cosines([[1.0, 0.0]], [[0.0, 1.0]])
+        assert cos == pytest.approx([0.0])
+        assert not undefined.any()
+
     def test_hand_evaluation(self):
-        # Identical, orthogonal and hand-evaluated pairs, then a zero-norm
-        # pair, which is flagged and reads 0.
-        a = np.array([[1.0, 2.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-        b = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
-        cos, undefined = graphs.row_cosines(a, b)
-        assert cos == pytest.approx([1.0, 0.0, 1 / np.sqrt(2), 0.0])
-        assert undefined.tolist() == [False, False, False, True]
+        # A hand-evaluated pair, then a zero-norm pair, which is flagged and reads 0.
+        cos, undefined = graphs.row_cosines([[1.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 0.0]])
+        assert cos == pytest.approx([1 / np.sqrt(2), 0.0])
+        assert undefined.tolist() == [False, True]
+
+    def test_zero_vector_rejected(self):
+        # row_cosines only flags a zero-norm pair; a graph refuses it.
+        _, undefined = graphs.row_cosines([[0.0, 0.0]], [[1.0, 0.0]])
+        assert undefined.tolist() == [True]
+        with pytest.raises(ZeroVector):
+            graphs.build_graph(windows_from([[0.0, 0.0], [1.0, 0.0]]), HEALTHY, k=0)
+
+    def test_shape_mismatch(self):
+        w = windows_from([[1.0]]) + windows_from([[1.0, 2.0]])
+        with pytest.raises(ShapeMismatch):
+            graphs.build_graph(w, HEALTHY, k=0)
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
