@@ -120,11 +120,9 @@ def cmd_train(args) -> int:
 
     recordings, _, _ = _load_dataset(config)
     out.mkdir(exist_ok=True)
-    train_recs, val_recs, test_recs = split(recordings, config.ratios, seed=config.split_seed())
+    train_recs, val_recs, _ = split(recordings, config.ratios, seed=config.split_seed())
     pipeline = config.pipeline(include_frequency=config.model.ablation != "no_freq_features")
-    train_g, val_g, _, standardizer = featurize_splits(
-        (train_recs, val_recs, test_recs), pipeline
-    )
+    train_g, val_g, standardizer = featurize_splits((train_recs, val_recs), pipeline)
     _say(args, f"training on {len(train_g)} graphs, validating on {len(val_g)}")
 
     state, log = train(train_g, config.model, val_dataset=val_g)

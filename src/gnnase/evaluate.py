@@ -9,6 +9,7 @@ rank correlation between the predicted score and the injected severity.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -225,13 +226,16 @@ def split(
 
 
 def featurize_splits(
-    splits: tuple[list[Recording], list[Recording], list[Recording]],
+    splits: Sequence[list[Recording]],
     pipeline: PipelineSettings,
-) -> tuple[list[SignalGraph], list[SignalGraph], list[SignalGraph], Standardizer]:
+) -> tuple:
     """Filter, window, standardize, and graph each split.
 
-    The standardizer is fitted on training windows only and applied
-    unchanged to validation and test.
+    The standardizer is fitted on the first (training) split's windows
+    only and applied unchanged to the others.
+
+    Returns:
+        One list of graphs per split, in order, then the standardizer.
     """
 
     def windows_for(recordings):
@@ -254,8 +258,7 @@ def featurize_splits(
             )
         return graphs
 
-    train_g, val_g, test_g = (to_graphs(per_split[j], splits[j]) for j in range(3))
-    return train_g, val_g, test_g, standardizer
+    return (*(to_graphs(ws, recs) for ws, recs in zip(per_split, splits)), standardizer)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,10 @@ KIND_TO_CLASS = {
 
 DEFAULT_NEIGHBORS = 4
 
+# Window pairs per row_cosines call in build_graph. One call covers all
+# pairs of up to 90 windows, about 9 s at the default sample rate and window.
+PAIR_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class NodeTargets:
@@ -138,25 +142,33 @@ def build_graph(
     shapes = {np.shape(w.x) for w in windows}
     if len(shapes) != 1:
         raise ShapeMismatch(f"windows differ in feature shape: {sorted(shapes)}")
-    # Pairwise cosine once, one row at a time so temporaries stay O(n);
-    # similarity ordering reuses it for kNN picks.
+    # Every pair i < j, PAIR_BLOCK pairs per call so that the gathered rows
+    # stay small on long recordings; each pair's cosine depends on its own
+    # rows alone, so the bits match a per-row evaluation.
     X = np.stack([w.x for w in windows])
-    cos = np.ones((n, n))
-    for i in range(n - 1):
-        row, undefined = row_cosines(np.broadcast_to(X[i], X[i + 1 :].shape), X[i + 1 :])
+    iu, ju = np.triu_indices(n, 1)
+    pair_cos = np.empty(len(iu))
+    for start in range(0, len(iu), PAIR_BLOCK):
+        block = slice(start, start + PAIR_BLOCK)
+        pair_cos[block], undefined = row_cosines(X[iu[block]], X[ju[block]])
         if undefined.any():
             raise ZeroVector("cosine similarity is undefined for near-zero vectors")
-        cos[i, i + 1 :] = cos[i + 1 :, i] = row
+    cos = np.ones((n, n))
+    cos[iu, ju] = cos[ju, iu] = pair_cos
 
-    pairs: set[tuple[int, int]] = {(i, i + 1) for i in range(n - 1)}
-    for i in range(n):
-        candidates = [j for j in range(n) if j != i and abs(j - i) > 1]
-        # Descending similarity, index ascending on ties.
-        candidates.sort(key=lambda j: (-cos[i, j], j))
-        for j in candidates[:k]:
-            pairs.add((min(i, j), max(i, j)))
+    # Each node's k picks among nodes more than one step away in time:
+    # descending similarity, index ascending on ties (a stable sort of
+    # -cos); the excluded nodes sort last and are never picked.
+    offset = np.abs(np.arange(n)[:, None] - np.arange(n))
+    score = np.where(offset > 1, -cos, np.inf)
+    top = np.argsort(score, axis=1, kind="stable")[:, :k]
+    picked = np.isfinite(np.take_along_axis(score, top, axis=1))
+    linked = offset == 1
+    rows = np.broadcast_to(np.arange(n)[:, None], top.shape)[picked]
+    linked[rows, top[picked]] = linked[top[picked], rows] = True
 
-    edges = [(i, j, similarity_weight(cos[i, j])) for i, j in sorted(pairs)]
+    ii, jj = np.nonzero(np.triu(linked))
+    edges = list(zip(ii.tolist(), jj.tolist(), similarity_weight(cos[ii, jj])))
     targets = fault_targets(label)
     return SignalGraph(
         nodes=list(windows),

@@ -3,27 +3,31 @@
 Architecture: linear embedding -> graph convolution (ReLU) -> dropout ->
 graph convolution (ReLU) -> three heads (anomaly sigmoid, severity MLP
 with a softmax over SEVERITY_BINS bins, type softmax). Aggregation
-multiplies by the dense normalized adjacency D^-1/2 (A + I) D^-1/2: each
-edge weight is divided by the square root of both endpoints' weighted
+multiplies by the normalized adjacency D^-1/2 (A + I) D^-1/2: each edge
+weight is divided by the square root of both endpoints' weighted
 degrees, with a weight-1 self-loop added per node.
 
-One kernel serves every caller. A minibatch of graphs is one
-block-diagonal graph: node features are stacked, one adjacency is built
-over all of the batch's nodes (zero between graphs), and one forward and
-one backward pass cover the batch. Node-level losses are weighted 1/n_g
-and the type loss type_mask/n_anom_g, so the batch loss and gradient are
-exactly the sums of the per-graph ones. Memory is O(N^2) in the N nodes
-of one batch, never in the dataset. The single-graph functions (forward,
-loss_and_grads, loss_value, gcn_layer, reweight_edges) run the same
-kernel on a one-graph block.
+One kernel serves every caller. Graphs are padded to one node count n
+and stacked: node features become a (G, n, d) array, each graph keeps
+its own (n, n) normalized adjacency, and aggregation is one batched
+``(G, n, n) @ (G, n, k)`` product. The linear maps run on the G*n stack
+rows at once. Padding rows and columns of the adjacency are zero and
+padding nodes carry no loss, so they never reach a real node's output
+or gradient. Node-level losses are weighted 1/n_g and the type loss
+type_mask/n_anom_g, so a stack's loss and gradient are exactly the sums
+of the per-graph ones. Memory is O(G n^2) in the graphs of one stack.
+The single-graph functions (forward, loss_and_grads, loss_value,
+gcn_layer, reweight_edges) run the same kernel on a one-graph stack.
 
 Training is plain seeded SGD on a multi-task loss: binary cross-entropy
 for anomaly, cross-entropy over severity bins, cross-entropy over fault
-classes masked to anomalous nodes. After each epoch the edge weights of
-every training graph are blended toward the cosine similarity of the
-first convolution's hidden vectors (dynamic edge reweighting), computed
-over all edges of a batch_size block of graphs at once; weights are
-constants as far as the gradients are concerned.
+classes masked to anomalous nodes. The training graphs are stacked once;
+each epoch rebuilds their adjacency from the current edge weights, and
+a minibatch is the members' slice of that stack. After each epoch the
+edge weights of every training graph are blended toward the cosine
+similarity of the first convolution's hidden vectors (dynamic edge
+reweighting), computed over batch_size graphs of the stack at a time;
+weights are constants as far as the gradients are concerned.
 
 The severity head classifies each node into one of SEVERITY_BINS equal
 bins of [0, 1] and scores it as the expected bin centre. It reads the
@@ -197,16 +201,29 @@ def init_state(feature_dim: int, config: ModelConfig) -> ModelState:
 
 
 @dataclass(frozen=True)
-class _Block:
-    """Several graphs as one block-diagonal graph over their stacked nodes."""
+class _Stack:
+    """Graphs padded to one node count n, each with its own adjacency.
 
-    X: np.ndarray  # (N, feature_dim) node features, graph after graph
-    adj: np.ndarray  # (N, N) normalized adjacency, zero between graphs
-    graph_id: np.ndarray  # (N,) position of each node's graph in the block
+    Node-level arrays hold n rows per graph, graph after graph (stack row
+    g*n + i is node i of graph g); rows past a graph's node count are
+    padding. Padding rows and columns of ``adj`` are zero, so nothing
+    aggregates from or into a padding node.
+    """
+
+    X: np.ndarray  # (G, n, feature_dim) node features; padding rows are zero
+    adj: np.ndarray  # (G, n, n) normalized adjacency of each graph
     sizes: np.ndarray  # (G,) node count per graph
-    rows: np.ndarray  # (E,) block-wide endpoints of every stored edge
-    cols: np.ndarray
-    weights: np.ndarray  # (E,) edge weights in the same order
+
+    def take(self, members) -> _Stack:
+        """The sub-stack of the graphs at positions ``members``."""
+        return _Stack(self.X[members], self.adj[members], self.sizes[members])
+
+    def node_graph(self) -> np.ndarray:
+        """(G*n,) position of each stack row's graph; padding rows read G."""
+        count, n = self.adj.shape[:2]
+        return np.where(
+            np.arange(n) < self.sizes[:, None], np.arange(count)[:, None], count
+        ).ravel()
 
 
 def _edge_arrays(edges: list[tuple[int, int, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,41 +234,66 @@ def _edge_arrays(edges: list[tuple[int, int, float]]) -> tuple[np.ndarray, np.nd
     return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(w, dtype=float)
 
 
-def _block(
-    features: list[np.ndarray], edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-) -> _Block:
-    """Stack graphs and build their normalized adjacency D^-1/2 (A + I) D^-1/2.
+def _padded(features: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrices zero-padded to the largest node count: (X (G, n, d), sizes)."""
+    sizes = np.array([len(x) for x in features])
+    X = np.zeros((len(features), int(sizes.max()), features[0].shape[1]))
+    for x, block in zip(features, X):
+        block[: len(x)] = x
+    return X, sizes
 
-    Each graph contributes both directions of every edge and a weight-1
-    self-loop per node; weighted degrees count the self-loop. Memory is
-    O(N^2) in the block's node count N, never in the dataset's.
+
+def _edge_rows(
+    n: int, edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every graph's edges with endpoints as stack rows g*n + i: (src, dst, weights)."""
+    src, dst, w = (np.concatenate(parts) for parts in zip(*edges))
+    shift = np.repeat(np.arange(len(edges)) * n, [len(e[2]) for e in edges])
+    return src + shift, dst + shift, w
+
+
+def _adjacency(sizes: np.ndarray, n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Normalized adjacency D^-1/2 (A + I) D^-1/2 of each graph, shape (G, n, n).
+
+    ``src`` and ``dst`` are the stack rows of each edge's endpoints. Each
+    edge is entered in both directions and each node gets a weight-1
+    self-loop; weighted degrees count the self-loop. Padding rows and
+    columns stay zero. Memory is O(G n^2).
 
     Raises:
         NegativeWeight: If any edge weight is negative.
     """
-    sizes = np.array([len(x) for x in features])
-    n = int(sizes.sum())
-    src, dst, w = (np.concatenate(parts) for parts in zip(*edges))
     negative = np.flatnonzero(w < 0)
     if negative.size:
         k = negative[0]
-        raise NegativeWeight(f"edge ({src[k]}, {dst[k]}) has negative weight {w[k]}")
-    offsets = np.cumsum(sizes) - sizes
-    shift = np.repeat(offsets, [len(e[2]) for e in edges])
-    rows, cols = src + shift, dst + shift
-    inv_sqrt = 1.0 / np.sqrt(1.0 + np.bincount(rows, w, n) + np.bincount(cols, w, n))
-    adj = np.zeros((n, n))
-    adj[rows, cols] = adj[cols, rows] = w * inv_sqrt[rows] * inv_sqrt[cols]
-    adj[np.arange(n), np.arange(n)] = inv_sqrt * inv_sqrt
-    return _Block(
-        X=np.concatenate(features),
-        adj=adj,
-        graph_id=np.repeat(np.arange(len(sizes)), sizes),
-        sizes=sizes,
-        rows=rows,
-        cols=cols,
-        weights=w,
-    )
+        raise NegativeWeight(
+            f"edge ({src[k] % n}, {dst[k] % n}) of graph {src[k] // n} has negative weight {w[k]}"
+        )
+    rows = len(sizes) * n
+    inv_sqrt = 1.0 / np.sqrt(1.0 + np.bincount(src, w, rows) + np.bincount(dst, w, rows))
+    adj = np.zeros((rows, n))
+    adj[src, dst % n] = adj[dst, src % n] = w * inv_sqrt[src] * inv_sqrt[dst]
+    nodes = np.flatnonzero(np.arange(n) < sizes[:, None])
+    adj[nodes, nodes % n] = inv_sqrt[nodes] * inv_sqrt[nodes]
+    return adj.reshape(len(sizes), n, n)
+
+
+def _stack(
+    features: list[np.ndarray], edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> _Stack:
+    """Pad and stack graphs and build each one's normalized adjacency.
+
+    Raises:
+        NegativeWeight: If any edge weight is negative.
+    """
+    X, sizes = _padded(features)
+    return _Stack(X, _adjacency(sizes, X.shape[1], *_edge_rows(X.shape[1], edges)), sizes)
+
+
+def _aggregate(adj: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Each graph's adjacency times its own n rows of H, as one batched product."""
+    count, n = adj.shape[:2]
+    return (adj @ H.reshape(count, n, -1)).reshape(count * n, -1)
 
 
 def gcn_layer(h: np.ndarray, graph: SignalGraph, W: np.ndarray, activation: str = "relu") -> np.ndarray:
@@ -274,7 +316,7 @@ def gcn_layer(h: np.ndarray, graph: SignalGraph, W: np.ndarray, activation: str 
         raise ShapeMismatch(f"W rows {W.shape[0]} do not match feature dim {h.shape[1]}")
     if activation not in ("relu", "identity"):
         raise InvalidConfigValue(f"unknown activation {activation!r}")
-    out = (_block([h], [_edge_arrays(graph.edges)]).adj @ h) @ W
+    out = _aggregate(_stack([h], [_edge_arrays(graph.edges)]).adj, h) @ W
     return np.maximum(out, 0.0) if activation == "relu" else out
 
 
@@ -295,38 +337,60 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=1, keepdims=True)
 
 
+def _uniforms(bitgen: np.random.Philox, seed: int, count: int) -> np.ndarray:
+    """The first ``count`` draws of ``make_rng(seed).random()``, bit for bit.
+
+    ``bitgen`` is re-keyed to ``seed`` through its state, which costs far
+    less than constructing a generator. A double is the top 53 bits of one
+    64-bit output times 2^-53, as ``Generator.random`` computes it.
+    """
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return (bitgen.random_raw(count) >> 11) * 2.0**-53
+
+
 def _dropout_mask(shape, p: float, seed: int) -> np.ndarray:
-    """Inverted dropout: entries are 0 or 1/(1-p), unbiased in expectation."""
-    rng = make_rng(seed)
-    return (rng.random(size=shape) >= p) / (1.0 - p)
+    """Inverted dropout: entries are 0 or 1/(1-p), unbiased in expectation.
+
+    Equals ``(make_rng(seed).random(shape) >= p) / (1 - p)``.
+    """
+    return (_uniforms(np.random.Philox(), seed, math.prod(shape)).reshape(shape) >= p) / (1.0 - p)
 
 
-def _gcn1(X: np.ndarray, adj: np.ndarray, params: dict) -> tuple[np.ndarray, ...]:
-    """Embedding and first convolution: (E, A1, Z1, H1)."""
-    E = X @ params["W_embed"] + params["b_embed"]
-    A1 = adj @ E
+def _gcn1(stack: _Stack, params: dict) -> tuple[np.ndarray, ...]:
+    """Embedding and first convolution over stack rows: (E, A1, Z1, H1)."""
+    E = stack.X.reshape(-1, stack.X.shape[2]) @ params["W_embed"] + params["b_embed"]
+    A1 = _aggregate(stack.adj, E)
     Z1 = A1 @ params["W_gcn1"] + params["b_gcn1"]
     return E, A1, Z1, np.maximum(Z1, 0.0)
 
 
 def _forward_cache(
-    block: _Block,
+    stack: _Stack,
     params: dict,
     config: ModelConfig,
     mask: np.ndarray | None,
     severity_input: np.ndarray | None,
 ) -> dict:
-    """Forward activations over a block; ``mask`` None means no dropout."""
-    X = block.X
-    if X.shape[1] != params["W_embed"].shape[0]:
+    """Forward activations over a stack, one row per stack row; ``mask`` None means no dropout."""
+    if stack.X.shape[2] != params["W_embed"].shape[0]:
         raise ShapeMismatch(
-            f"feature dim {X.shape[1]} does not match W_embed rows {params['W_embed'].shape[0]}"
+            f"feature dim {stack.X.shape[2]} does not match W_embed rows {params['W_embed'].shape[0]}"
         )
-    cache: dict = {"X": X, "adj": block.adj}
-    cache["E"], cache["A1"], cache["Z1"], cache["H1"] = _gcn1(X, block.adj, params)
+    cache: dict = {"X": stack.X.reshape(-1, stack.X.shape[2]), "adj": stack.adj}
+    cache["E"], cache["A1"], cache["Z1"], cache["H1"] = _gcn1(stack, params)
     cache["mask"] = np.ones_like(cache["H1"]) if mask is None else mask
     cache["D1"] = cache["H1"] * cache["mask"]
-    cache["A2"] = block.adj @ cache["D1"]
+    cache["A2"] = _aggregate(stack.adj, cache["D1"])
     cache["Z2"] = cache["A2"] @ params["W_gcn2"] + params["b_gcn2"]
     cache["H2"] = np.maximum(cache["Z2"], 0.0)
 
@@ -355,8 +419,8 @@ def _graph_pass(
     dropout_seed: int,
     edges: list[tuple[int, int, float]] | None,
     severity_input: np.ndarray | None,
-) -> tuple[_Block, dict]:
-    """Forward pass over one graph as a one-graph block: (block, cache).
+) -> tuple[_Stack, dict]:
+    """Forward pass over one graph as a one-graph stack: (stack, cache).
 
     The graph's stored edges are used unless ``edges`` overrides them.
     """
@@ -365,9 +429,8 @@ def _graph_pass(
         mask = dropout_mask if dropout_mask is not None else _dropout_mask(
             (graph.n_nodes, config.gcn1_dim), config.dropout_p, dropout_seed
         )
-    edge_arrays = _edge_arrays(graph.edges if edges is None else edges)
-    block = _block([graph.feature_matrix()], [edge_arrays])
-    return block, _forward_cache(block, state.params, config, mask, severity_input)
+    stack = _stack([graph.feature_matrix()], [_edge_arrays(graph.edges if edges is None else edges)])
+    return stack, _forward_cache(stack, state.params, config, mask, severity_input)
 
 
 def _diagnosis_from_cache(cache: dict, config: ModelConfig) -> Diagnosis:
@@ -432,55 +495,74 @@ def _targets(graph: SignalGraph) -> dict:
     }
 
 
-def _block_targets(per_graph: list[dict], block: _Block) -> dict:
-    """Stack per-graph targets and add the per-graph loss normalizers.
+def _stack_targets(per_graph: list[dict], n: int) -> dict:
+    """Per-graph targets padded to n rows each and stacked, one row per stack row.
 
-    ``node_n`` and ``node_anom`` give each node its graph's node count and
-    anomalous-node count, so node-level losses are weighted 1/n_g and the
-    type loss type_mask/n_anom_g: the block's loss and gradient are then
-    exactly the sums of the per-graph ones.
+    ``node_n`` and ``node_anom`` give each row its graph's node count and
+    anomalous-node count (at least 1), so node-level losses are weighted
+    1/n_g and the type loss type_mask/n_anom_g: a stack's loss and
+    gradient are then exactly the sums of the per-graph ones. Padding rows
+    have every label zero and ``valid`` 0, so they carry no loss.
     """
-    targets = {key: np.concatenate([t[key] for t in per_graph]) for key in per_graph[0]}
-    n_anom = np.bincount(block.graph_id, targets["type_mask"], len(block.sizes))
-    targets["n_anom"] = n_anom
-    targets["node_n"] = block.sizes[block.graph_id][:, None].astype(float)
-    targets["node_anom"] = np.maximum(n_anom, 1.0)[block.graph_id][:, None]
+
+    def padded(a: np.ndarray) -> np.ndarray:
+        return np.concatenate([a, np.zeros((n - len(a),) + a.shape[1:])])
+
+    targets = {key: np.concatenate([padded(t[key]) for t in per_graph]) for key in per_graph[0]}
+    sizes = np.array([len(t["type_mask"]) for t in per_graph])
+    n_anom = np.array([t["type_mask"].sum() for t in per_graph])
+    targets["valid"] = (np.arange(n) < sizes[:, None]).astype(float).reshape(-1, 1)
+    targets["node_n"] = np.repeat(sizes.astype(float), n)[:, None]
+    targets["node_anom"] = np.repeat(np.maximum(n_anom, 1.0), n)[:, None]
     return targets
 
 
+def _take_targets(targets: dict, members: np.ndarray, n: int) -> dict:
+    """The stack rows of the graphs at positions ``members``, in that order."""
+    rows = (members[:, None] * n + np.arange(n)).ravel()
+    return {key: value[rows] for key, value in targets.items()}
+
+
 def _loss_terms(
-    cache: dict, targets: dict, block: _Block, config: ModelConfig
+    cache: dict, targets: dict, stack: _Stack, config: ModelConfig
 ) -> tuple[np.ndarray, dict]:
     """Score a forward cache per graph: (total losses, per-component arrays)."""
+    node_graph = stack.node_graph()
+    count = len(stack.sizes)
 
-    def per_graph_mean(values: np.ndarray) -> np.ndarray:
-        return np.bincount(block.graph_id, values, len(block.sizes)) / block.sizes
+    def per_graph_sum(values: np.ndarray) -> np.ndarray:
+        # Padding rows land in the extra bin; real rows add in node order.
+        return np.bincount(node_graph, values, count + 1)[:count]
 
     # Binary cross-entropy through softplus keeps large logits stable.
     za = cache["za"][:, 0]
-    bce = per_graph_mean(np.logaddexp(0.0, za) - targets["y_anom"][:, 0] * za)
+    bce = per_graph_sum(np.logaddexp(0.0, za) - targets["y_anom"][:, 0] * za) / stack.sizes
 
     logp = np.log(np.maximum(cache["type_probs"], 1e-300))
     node_ce = -np.sum(targets["onehot"] * logp, axis=1) * targets["type_mask"]
-    n_anom = targets["n_anom"]
-    ce = np.bincount(block.graph_id, node_ce, len(block.sizes)) / np.maximum(n_anom, 1.0)
+    n_anom = per_graph_sum(targets["type_mask"])
+    ce = per_graph_sum(node_ce) / np.maximum(n_anom, 1.0)
     ce = np.where(n_anom > 0, ce, 0.0)
 
     if config.ablation == "no_severity":
-        sev = np.zeros(len(block.sizes))
+        sev = np.zeros(count)
     else:
         logp = np.log(np.maximum(cache["sev_probs"], 1e-300))
-        sev = per_graph_mean(-np.sum(targets["sev_onehot"] * logp, axis=1))
+        sev = per_graph_sum(-np.sum(targets["sev_onehot"] * logp, axis=1)) / stack.sizes
 
     total = config.lambda_anomaly * bce + config.lambda_type * ce + config.lambda_severity * sev
     return total, {"anomaly": bce, "type": ce, "severity": sev}
 
 
 def _backward(cache: dict, targets: dict, params: dict, config: ModelConfig) -> dict:
-    """Gradients of the summed per-graph losses, keyed like params."""
-    grads = {name: np.zeros_like(p) for name, p in params.items()}
-    node_n = targets["node_n"]
-    dza = config.lambda_anomaly * (cache["prob"] - targets["y_anom"]) / node_n
+    """Gradients of the summed per-graph losses, keyed like params.
+
+    Padding rows get no loss gradient, so every gradient further back
+    vanishes on them too.
+    """
+    grads = {}
+    node_n, valid = targets["node_n"], targets["valid"]
+    dza = config.lambda_anomaly * (cache["prob"] - targets["y_anom"]) / node_n * valid
     dzt = config.lambda_type * (cache["type_probs"] - targets["onehot"])
     dzt = dzt * targets["type_mask"][:, None] / targets["node_anom"]
 
@@ -492,8 +574,11 @@ def _backward(cache: dict, targets: dict, params: dict, config: ModelConfig) -> 
     dH2 = dza @ params["W_anom"].T + dzt @ params["W_type"].T
 
     # The severity gradient stops at its input: it never reaches dH2.
-    if config.ablation != "no_severity":
-        dzs2 = config.lambda_severity * (cache["sev_probs"] - targets["sev_onehot"]) / node_n
+    if config.ablation == "no_severity":
+        for name in ("W_sev1", "b_sev1", "W_sev2", "b_sev2"):
+            grads[name] = np.zeros_like(params[name])
+    else:
+        dzs2 = config.lambda_severity * (cache["sev_probs"] - targets["sev_onehot"]) / node_n * valid
         S1 = cache["S1"]
         grads["W_sev2"] = S1.T @ dzs2
         grads["b_sev2"] = dzs2.sum(axis=0)
@@ -507,13 +592,13 @@ def _backward(cache: dict, targets: dict, params: dict, config: ModelConfig) -> 
     grads["W_gcn2"] = cache["A2"].T @ dZ2
     grads["b_gcn2"] = dZ2.sum(axis=0)
     dA2 = dZ2 @ params["W_gcn2"].T
-    dD1 = cache["adj"] @ dA2  # the normalized adjacency is symmetric
+    dD1 = _aggregate(cache["adj"], dA2)  # the normalized adjacency is symmetric
     dH1 = dD1 * cache["mask"]
     dZ1 = dH1 * (cache["Z1"] > 0)
     grads["W_gcn1"] = cache["A1"].T @ dZ1
     grads["b_gcn1"] = dZ1.sum(axis=0)
     dA1 = dZ1 @ params["W_gcn1"].T
-    dE = cache["adj"] @ dA1
+    dE = _aggregate(cache["adj"], dA1)
     grads["W_embed"] = cache["X"].T @ dE
     grads["b_embed"] = dE.sum(axis=0)
     return grads
@@ -545,11 +630,11 @@ def loss_and_grads(
     Returns:
         (total loss, per-component dict, gradient dict keyed like params).
     """
-    block, cache = _graph_pass(
+    stack, cache = _graph_pass(
         graph, state, config, train_mode, dropout_mask, dropout_seed, edges, frozen_severity_input
     )
-    targets = _block_targets([_targets(graph)], block)
-    total, components = _loss_terms(cache, targets, block, config)
+    targets = _stack_targets([_targets(graph)], graph.n_nodes)
+    total, components = _loss_terms(cache, targets, stack, config)
     grads = _backward(cache, targets, state.params, config)
     return float(total[0]), {k: float(v[0]) for k, v in components.items()}, grads
 
@@ -571,11 +656,11 @@ def loss_value(
     gradients differentiate the same function. Both score the forward
     cache through one shared loss helper.
     """
-    block, cache = _graph_pass(
+    stack, cache = _graph_pass(
         graph, state, config, train_mode, dropout_mask, dropout_seed, edges, frozen_severity_input
     )
-    targets = _block_targets([_targets(graph)], block)
-    return float(_loss_terms(cache, targets, block, config)[0][0])
+    targets = _stack_targets([_targets(graph)], graph.n_nodes)
+    return float(_loss_terms(cache, targets, stack, config)[0][0])
 
 
 def _reweighted(
@@ -625,30 +710,30 @@ def _graph_key(index: int, graph: SignalGraph) -> str:
     return f"{index}:{graph.source}"
 
 
-def _chunks(count: int, size: int):
-    return (range(start, min(start + size, count)) for start in range(0, count, size))
+def _graph_stack(dataset: list[SignalGraph]) -> _Stack:
+    return _stack([g.feature_matrix() for g in dataset], [_edge_arrays(g.edges) for g in dataset])
+
+
+def _anomaly_hits(stack: _Stack, truth: np.ndarray, params: dict, config: ModelConfig) -> int:
+    """Graphs whose eval-mode mean anomaly probability is on the side of ``truth``."""
+    prob = _forward_cache(stack, params, config, None, None)["prob"][:, 0]
+    count = len(stack.sizes)
+    mean_prob = np.bincount(stack.node_graph(), prob, count + 1)[:count] / stack.sizes
+    return int(np.sum((mean_prob > 0.5) == truth))
+
+
+def _anomaly_truth(dataset: list[SignalGraph]) -> np.ndarray:
+    return np.array([bool(g.node_targets[0].anomaly) for g in dataset])
 
 
 def evaluate_anomaly_accuracy(
     dataset: list[SignalGraph], state: ModelState, config: ModelConfig
 ) -> float:
-    """Graph-level anomaly accuracy in eval mode (thresholded mean prob).
-
-    Graphs are scored in blocks of ``config.batch_size``.
-    """
+    """Graph-level anomaly accuracy in eval mode (thresholded mean prob), in one stacked pass."""
     if not dataset:
         raise EmptyDataset("cannot evaluate on an empty dataset")
-    correct = 0
-    for chunk in _chunks(len(dataset), config.batch_size):
-        graphs = [dataset[i] for i in chunk]
-        block = _block(
-            [g.feature_matrix() for g in graphs], [_edge_arrays(g.edges) for g in graphs]
-        )
-        prob = _forward_cache(block, state.params, config, None, None)["prob"][:, 0]
-        mean_prob = np.bincount(block.graph_id, prob, len(graphs)) / block.sizes
-        truth = np.array([bool(g.node_targets[0].anomaly) for g in graphs])
-        correct += int(np.sum((mean_prob > 0.5) == truth))
-    return correct / len(dataset)
+    hits = _anomaly_hits(_graph_stack(dataset), _anomaly_truth(dataset), state.params, config)
+    return hits / len(dataset)
 
 
 def effective_learning_rate(config: ModelConfig, epoch: int) -> float:
@@ -666,13 +751,16 @@ def train(
 ) -> tuple[ModelState, list[dict]]:
     """Seeded mini-batch SGD over per-recording graphs.
 
-    Per epoch: shuffle; for each minibatch, one forward and one backward
-    pass over the block-diagonal graph of its members, whose gradient is
-    the sum of the per-graph gradients; update with the batch mean. Then
-    (unless the no_reweight ablation) blend every graph's edge weights
-    toward first-layer hidden similarity, in blocks of batch_size graphs.
-    Each graph keeps its own dropout stream. Input graphs are not mutated;
-    the loop works on copies of their edge weights.
+    The training graphs are stacked once, and each epoch rebuilds their
+    adjacency from the current edge weights. Per epoch: shuffle; for each
+    minibatch, one forward and one backward pass over the members' rows of
+    the stack, whose gradient is the sum of the per-graph gradients;
+    update with the batch mean. Then (unless the no_reweight ablation)
+    blend every training edge's weight toward first-layer hidden
+    similarity, batch_size graphs of the stack at a time. Validation
+    is one pass over a stack built before the first epoch. Each graph
+    keeps its own dropout stream. Input graphs are not mutated; the loop
+    works on a copy of their edge weights.
 
     Returns:
         (final state, per-epoch log of loss and validation accuracy).
@@ -681,39 +769,44 @@ def train(
         EmptyDataset: If the training split is empty.
         FeatureDimMismatch: If graphs disagree on dimension or carry
             frequency features under the no_freq_features ablation.
+        NegativeWeight: If any edge weight is negative.
     """
     if not dataset:
         raise EmptyDataset("training requires at least one graph")
     dim = _check_feature_dims(dataset, config)
     state = init_state(dim, config)
     params = state.params
-    features = [g.feature_matrix() for g in dataset]
-    edges = [_edge_arrays(g.edges) for g in dataset]  # (i, j, weights) per graph
-    targets = [_targets(g) for g in dataset]
-
-    def block_of(members) -> _Block:
-        return _block([features[k] for k in members], [edges[k] for k in members])
+    edges = [_edge_arrays(g.edges) for g in dataset]
+    X, sizes = _padded([g.feature_matrix() for g in dataset])
+    n = X.shape[1]
+    src, dst, weights = _edge_rows(n, edges)
+    first_edge = np.concatenate([[0], np.cumsum([len(e[2]) for e in edges])])
+    targets = _stack_targets([_targets(g) for g in dataset], n)
+    if val_dataset:
+        val_stack, val_truth = _graph_stack(val_dataset), _anomaly_truth(val_dataset)
+    bitgen = np.random.Philox()
 
     log: list[dict] = []
     for epoch in range(config.epochs):
+        stack = _Stack(X, _adjacency(sizes, n, src, dst, weights), sizes)
         order = make_rng(derive_seed(config.seed, "shuffle", str(epoch))).permutation(len(dataset))
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
-            batch = [int(k) for k in order[start : start + config.batch_size]]
-            block = block_of(batch)
+            batch = order[start : start + config.batch_size]
+            part = stack.take(batch)
             mask = None
             if config.dropout_p > 0.0:
-                mask = np.concatenate([
-                    _dropout_mask(
-                        (len(features[k]), config.gcn1_dim),
-                        config.dropout_p,
-                        derive_seed(config.seed, "dropout", str(epoch), str(k)),
-                    )
-                    for k in batch
+                # Each graph draws n rows; rows past its own size fall on
+                # padding, where the mask has no effect.
+                draws = np.concatenate([
+                    _uniforms(bitgen, derive_seed(config.seed, "dropout", str(epoch), str(k)),
+                              n * config.gcn1_dim)
+                    for k in batch.tolist()
                 ])
-            cache = _forward_cache(block, params, config, mask, None)
-            batch_targets = _block_targets([targets[k] for k in batch], block)
-            totals, _ = _loss_terms(cache, batch_targets, block, config)
+                mask = (draws.reshape(-1, config.gcn1_dim) >= config.dropout_p) / (1.0 - config.dropout_p)
+            cache = _forward_cache(part, params, config, mask, None)
+            batch_targets = _take_targets(targets, batch, n)
+            totals, _ = _loss_terms(cache, batch_targets, part, config)
             epoch_losses.append(totals)
             grads = _backward(cache, batch_targets, params, config)
             scale = effective_learning_rate(config, epoch) / len(batch)
@@ -721,21 +814,26 @@ def train(
                 params[name] -= scale * grads[name]
 
         if config.ablation != "no_reweight" and config.beta > 0.0:
-            for chunk in _chunks(len(dataset), config.batch_size):
-                block = block_of(chunk)
-                h1 = _gcn1(block.X, block.adj, params)[3]
-                new = _reweighted(block.rows, block.cols, block.weights, h1, config.beta)
-                splits = np.cumsum([len(edges[k][2]) for k in chunk])[:-1]
-                for k, w in zip(chunk, np.split(new, splits)):
-                    edges[k] = (*edges[k][:2], w)
+            # batch_size graphs at a time: one pass over the whole stack
+            # gives the same bits but raised peak memory, at no gain in time.
+            blended = []
+            for start in range(0, len(dataset), config.batch_size):
+                stop = min(start + config.batch_size, len(dataset))
+                h1 = _gcn1(stack.take(slice(start, stop)), params)[3]
+                own, shift = slice(first_edge[start], first_edge[stop]), start * n
+                blended.append(
+                    _reweighted(src[own] - shift, dst[own] - shift, weights[own], h1, config.beta)
+                )
+            weights = np.concatenate(blended)
 
         entry = {"epoch": epoch, "train_loss": float(np.mean(np.concatenate(epoch_losses)))}
         if val_dataset:
-            entry["val_accuracy"] = evaluate_anomaly_accuracy(val_dataset, state, config)
+            entry["val_accuracy"] = _anomaly_hits(val_stack, val_truth, params, config) / len(val_dataset)
         log.append(entry)
 
     state.epoch = config.epochs
-    state.edge_weights = {_graph_key(k, g): edges[k][2].tolist() for k, g in enumerate(dataset)}
+    per_graph = np.split(weights, first_edge[1:-1])
+    state.edge_weights = {_graph_key(k, g): w.tolist() for k, (g, w) in enumerate(zip(dataset, per_graph))}
     return state, log
 
 

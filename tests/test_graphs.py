@@ -22,6 +22,29 @@ def windows_from(matrix, source="rec"):
 FAULT = FaultSpec(kind="broken_bars", bar_count=2, severity=2.0 / 3.0)
 HEALTHY = FaultSpec(kind="healthy")
 
+# Rows for property tests: repeats, scaled copies and mirror images make
+# equal cosines, so similarity ties occur often.
+TIE_ROWS = np.array([
+    [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0],
+    [1.0, -1.0, 0.5], [-1.0, 1.0, -0.5], [0.3, 0.3, 0.3],
+])
+
+
+def reference_edges(X, k):
+    """kNN edges picked one node at a time with a Python sort, as the graph docstring defines them."""
+    n = len(X)
+    cos = np.ones((n, n))
+    for i in range(n - 1):
+        row, _ = graphs.row_cosines(np.broadcast_to(X[i], X[i + 1 :].shape), X[i + 1 :])
+        cos[i, i + 1 :] = cos[i + 1 :, i] = row
+    pairs = {(i, i + 1) for i in range(n - 1)}
+    for i in range(n):
+        candidates = [j for j in range(n) if abs(j - i) > 1]
+        # Descending similarity, index ascending on ties.
+        candidates.sort(key=lambda j: (-cos[i, j], j))
+        pairs.update((min(i, j), max(i, j)) for j in candidates[:k])
+    return [(i, j, graphs.similarity_weight(cos[i, j])) for i, j in sorted(pairs)]
+
 
 class TestCosineSimilarity:
     def test_identical_vectors(self):
@@ -71,6 +94,28 @@ class TestBuildGraph:
         i, j, weight = g.edges[0]
         assert (i, j) == (0, 1)
         assert weight == pytest.approx((1 + 1 / np.sqrt(2)) / 2)
+
+    @given(
+        st.lists(st.integers(0, len(TIE_ROWS) - 1), min_size=2, max_size=12),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_edges_match_per_node_reference(self, rows, k):
+        X = TIE_ROWS[rows]
+        edges = graphs.build_graph(windows_from(X), HEALTHY, k=k).edges
+        expected = reference_edges(X, k)
+        assert [(i, j, w.hex()) for i, j, w in edges] == [(i, j, w.hex()) for i, j, w in expected]
+        assert [tuple(map(type, e)) for e in edges] == [tuple(map(type, e)) for e in expected]
+
+    def test_pair_blocks_give_the_same_edges(self, monkeypatch):
+        X = make_rng(11).normal(size=(12, 5)) + 0.1
+        expected = reference_edges(X, 3)
+        monkeypatch.setattr(graphs, "PAIR_BLOCK", 7)
+        edges = graphs.build_graph(windows_from(X), HEALTHY, k=3).edges
+        assert [(i, j, w.hex()) for i, j, w in edges] == [(i, j, w.hex()) for i, j, w in expected]
+        X[11] = 0.0  # none of its pairs falls in the first block
+        with pytest.raises(ZeroVector):
+            graphs.build_graph(windows_from(X), HEALTHY, k=3)
 
     def test_identical_vectors_give_unit_weights(self):
         w = windows_from([[1.0, 2.0]] * 5)

@@ -163,6 +163,23 @@ class TestForward:
         mean_rel_err = float(np.mean(np.abs(acc / draws - h) / h))
         assert mean_rel_err < 0.03
 
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 2**63 - 1, derive_seed(0, "dropout", "0", "0"), derive_seed(3, "dropout", "59", "69")],
+    )
+    @pytest.mark.parametrize("shape", [(1, 1), (8, 64), (7, 13)])
+    def test_dropout_mask_is_the_seeded_draw(self, seed, shape):
+        p = 0.3
+        expected = (make_rng(seed).random(size=shape) >= p) / (1 - p)
+        mask = model._dropout_mask(shape, p, seed)
+        assert mask.dtype == expected.dtype and mask.tobytes() == expected.tobytes()
+        # train re-keys one generator for every mask; a used one must not leak into the next draw.
+        reused = np.random.Philox()
+        model._uniforms(reused, 12345, 15)
+        for _ in range(2):
+            draws = model._uniforms(reused, seed, mask.size)
+            assert draws.tobytes() == make_rng(seed).random(size=mask.size).tobytes()
+
     def test_no_severity_omits_outputs(self):
         g = random_graph(seed=8)
         config = model.ModelConfig(ablation="no_severity")
@@ -492,8 +509,13 @@ def assert_close(actual, expected, rel=1e-12):
     assert float(np.max(np.abs(actual - expected))) <= rel * scale
 
 
+def padded_rows(arrays, n):
+    """Per-graph row arrays zero-padded to n rows each and concatenated, as stack rows."""
+    return np.concatenate([np.vstack([a, np.zeros((n - len(a), a.shape[1]))]) for a in arrays])
+
+
 class TestBatchedEngine:
-    """One block-diagonal pass over a minibatch equals the per-graph calls."""
+    """One stacked pass over a minibatch equals the per-graph calls."""
 
     # The ids keep the names these cases had while the severity head had
     # options, "<frozen>-<trunk-coupled>-<bins>-<ablation>".
@@ -525,15 +547,14 @@ class TestBatchedEngine:
             totals.append(total)
             grads.append(grad)
 
-        block = model._block(
-            [g.feature_matrix() for g in graphs], [model._edge_arrays(g.edges) for g in graphs]
-        )
+        stack = model._graph_stack(graphs)
+        n = stack.X.shape[1]
         cache = model._forward_cache(
-            block, state.params, config, np.concatenate(masks),
-            np.concatenate(severity) if frozen else None,
+            stack, state.params, config, padded_rows(masks, n),
+            padded_rows(severity, n) if frozen else None,
         )
-        targets = model._block_targets([model._targets(g) for g in graphs], block)
-        batch_totals, _ = model._loss_terms(cache, targets, block, config)
+        targets = model._stack_targets([model._targets(g) for g in graphs], n)
+        batch_totals, _ = model._loss_terms(cache, targets, stack, config)
         batch_grads = model._backward(cache, targets, state.params, config)
 
         assert_close(batch_totals, totals)
@@ -562,18 +583,27 @@ class TestBatchedEngine:
     def test_vectorized_reweighting_matches_per_graph(self):
         graphs = mixed_size_dataset()
         rng = make_rng(61)
-        block = model._block(
-            [g.feature_matrix() for g in graphs], [model._edge_arrays(g.edges) for g in graphs]
-        )
-        h1 = np.maximum(rng.normal(size=(len(block.X), 8)), 0.0)
+        n = max(g.n_nodes for g in graphs)
+        src, dst, weights = model._edge_rows(n, [model._edge_arrays(g.edges) for g in graphs])
+        h1 = np.maximum(rng.normal(size=(len(graphs) * n, 8)), 0.0)
         h1[3] = 0.0
-        together = model._reweighted(block.rows, block.cols, block.weights, h1, 0.3)
-        offset, expected = 0, []
-        for g in graphs:
-            local = model.reweight_edges(g.edges, h1[offset : offset + g.n_nodes], 0.3)
+        together = model._reweighted(src, dst, weights, h1, 0.3)
+        expected = []
+        for k, g in enumerate(graphs):
+            local = model.reweight_edges(g.edges, h1[k * n : k * n + g.n_nodes], 0.3)
             expected += [w for _, _, w in local]
-            offset += g.n_nodes
         assert together.tolist() == expected
+
+    def test_stack_adjacency_matches_dense_oracle_and_pads_with_zeros(self):
+        graphs = mixed_size_dataset()
+        stack = model._graph_stack(graphs)
+        n = stack.X.shape[1]
+        assert stack.adj.shape == (len(graphs), n, n)
+        for g, adj, x in zip(graphs, stack.adj, stack.X):
+            m = g.n_nodes
+            assert adj[:m, :m] == pytest.approx(dense_gcn_oracle(np.eye(m), g, np.eye(m)), abs=1e-14)
+            assert not adj[m:].any() and not adj[:, m:].any()
+            assert np.array_equal(x[:m], g.feature_matrix()) and not x[m:].any()
 
 
 def reference_train(dataset, config, val_dataset=None):
