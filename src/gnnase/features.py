@@ -62,7 +62,6 @@ class WindowFeatures:
     """Feature vector of one window plus its provenance."""
 
     x: np.ndarray
-    window_index: int
     source: str
 
 
@@ -142,10 +141,7 @@ def extract_windows(
     spec.count(recording.n_samples)  # raises RecordingTooShort
     windows = sliding_window_view(recording.stacked(), spec.window_len, axis=-1)[:, :: spec.hop]
     matrix = window_features(windows, recording.sample_rate, include_frequency)
-    return [
-        WindowFeatures(x=row, window_index=w, source=recording.name)
-        for w, row in enumerate(matrix)
-    ]
+    return [WindowFeatures(x=row, source=recording.name) for row in matrix]
 
 
 @dataclass

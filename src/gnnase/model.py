@@ -17,7 +17,8 @@ or gradient. Node-level losses are weighted 1/n_g and the type loss
 type_mask/n_anom_g, so a stack's loss and gradient are exactly the sums
 of the per-graph ones. Memory is O(G n^2) in the graphs of one stack.
 The single-graph functions (forward, loss_and_grads, loss_value,
-gcn_layer, reweight_edges) run the same kernel on a one-graph stack.
+gcn_layer, reweight_edges) run the same kernel on a one-graph stack. In
+train_mode without a dropout_mask they draw the seed-0 mask.
 
 Training is plain seeded SGD on a multi-task loss: binary cross-entropy
 for anomaly, cross-entropy over severity bins, cross-entropy over fault
@@ -41,7 +42,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,7 @@ from .errors import (
     RecordingTooShort,
     ShapeMismatch,
 )
-from .features import Standardizer, WindowFeatures, WindowSpec, extract_windows, feature_names
+from .features import Standardizer, WindowSpec, extract_windows, feature_names
 from .graphs import TYPE_CLASSES, SignalGraph, build_graph, row_cosines, similarity_weight
 from .numerics import derive_seed, make_rng
 from .preprocess import FilterSpec, filter_recording
@@ -132,9 +133,6 @@ class ModelState:
     params: dict[str, np.ndarray]
     feature_dim: int
     epoch: int = 0
-    # Final per-graph edge weights after reweighting, keyed by graph id;
-    # informational only, inference always starts from fresh weights.
-    edge_weights: dict[str, list[float]] = field(default_factory=dict)
 
 
 @dataclass
@@ -278,16 +276,15 @@ def _adjacency(sizes: np.ndarray, n: int, src: np.ndarray, dst: np.ndarray, w: n
     return adj.reshape(len(sizes), n, n)
 
 
-def _stack(
-    features: list[np.ndarray], edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-) -> _Stack:
+def _graph_stack(dataset: list[SignalGraph]) -> _Stack:
     """Pad and stack graphs and build each one's normalized adjacency.
 
     Raises:
         NegativeWeight: If any edge weight is negative.
     """
-    X, sizes = _padded(features)
-    return _Stack(X, _adjacency(sizes, X.shape[1], *_edge_rows(X.shape[1], edges)), sizes)
+    X, sizes = _padded([g.feature_matrix() for g in dataset])
+    src, dst, w = _edge_rows(X.shape[1], [_edge_arrays(g.edges) for g in dataset])
+    return _Stack(X, _adjacency(sizes, X.shape[1], src, dst, w), sizes)
 
 
 def _aggregate(adj: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -316,7 +313,8 @@ def gcn_layer(h: np.ndarray, graph: SignalGraph, W: np.ndarray, activation: str 
         raise ShapeMismatch(f"W rows {W.shape[0]} do not match feature dim {h.shape[1]}")
     if activation not in ("relu", "identity"):
         raise InvalidConfigValue(f"unknown activation {activation!r}")
-    out = _aggregate(_stack([h], [_edge_arrays(graph.edges)]).adj, h) @ W
+    n = graph.n_nodes
+    out = _aggregate(_adjacency(np.array([n]), n, *_edge_arrays(graph.edges)), h) @ W
     return np.maximum(out, 0.0) if activation == "relu" else out
 
 
@@ -416,20 +414,27 @@ def _graph_pass(
     config: ModelConfig,
     train_mode: bool,
     dropout_mask: np.ndarray | None,
-    dropout_seed: int,
-    edges: list[tuple[int, int, float]] | None,
     severity_input: np.ndarray | None,
 ) -> tuple[_Stack, dict]:
     """Forward pass over one graph as a one-graph stack: (stack, cache).
 
-    The graph's stored edges are used unless ``edges`` overrides them.
+    Raises:
+        ShapeMismatch: If a given mask is not (n_nodes, gcn1_dim) or a given
+            severity input not (n_nodes, gcn2_dim).
     """
+    n = graph.n_nodes
+    for name, value, dim in (
+        ("dropout_mask", dropout_mask, config.gcn1_dim),
+        ("frozen_severity_input", severity_input, config.gcn2_dim),
+    ):
+        if value is not None and np.shape(value) != (n, dim):
+            raise ShapeMismatch(f"{name} has shape {np.shape(value)}, expected ({n}, {dim})")
     mask = None
     if train_mode and config.dropout_p > 0.0:
         mask = dropout_mask if dropout_mask is not None else _dropout_mask(
-            (graph.n_nodes, config.gcn1_dim), config.dropout_p, dropout_seed
+            (n, config.gcn1_dim), config.dropout_p, 0
         )
-    stack = _stack([graph.feature_matrix()], [_edge_arrays(graph.edges if edges is None else edges)])
+    stack = _graph_stack([graph])
     return stack, _forward_cache(stack, state.params, config, mask, severity_input)
 
 
@@ -456,23 +461,23 @@ def forward(
     config: ModelConfig,
     train_mode: bool = False,
     dropout_mask: np.ndarray | None = None,
-    dropout_seed: int = 0,
-    edges: list[tuple[int, int, float]] | None = None,
 ) -> tuple[Diagnosis, dict]:
     """Run the network over one graph.
 
     Args:
-        graph: Input graph; its stored edges are used unless ``edges``
-            overrides them.
-        train_mode: Enables dropout; draw is deterministic in dropout_seed.
-        dropout_mask: Optional precomputed mask (gradient checks freeze it).
+        graph: Input graph with its stored edge weights.
+        train_mode: Enables dropout; without ``dropout_mask`` the mask is
+            the seed-0 draw ``_dropout_mask(shape, dropout_p, 0)``.
+        dropout_mask: Optional precomputed (n_nodes, gcn1_dim) mask
+            (gradient checks freeze it).
 
     Returns:
         (Diagnosis, cache of intermediate activations for the backward pass).
+
+    Raises:
+        ShapeMismatch: If the features or the mask do not fit the model.
     """
-    _, cache = _graph_pass(
-        graph, state, config, train_mode, dropout_mask, dropout_seed, edges, None
-    )
+    _, cache = _graph_pass(graph, state, config, train_mode, dropout_mask, None)
     return _diagnosis_from_cache(cache, config), cache
 
 
@@ -610,8 +615,6 @@ def loss_and_grads(
     config: ModelConfig,
     train_mode: bool = True,
     dropout_mask: np.ndarray | None = None,
-    dropout_seed: int = 0,
-    edges: list[tuple[int, int, float]] | None = None,
     frozen_severity_input: np.ndarray | None = None,
 ) -> tuple[float, dict, dict]:
     """Multi-task loss and analytic gradients for one graph.
@@ -630,9 +633,7 @@ def loss_and_grads(
     Returns:
         (total loss, per-component dict, gradient dict keyed like params).
     """
-    stack, cache = _graph_pass(
-        graph, state, config, train_mode, dropout_mask, dropout_seed, edges, frozen_severity_input
-    )
+    stack, cache = _graph_pass(graph, state, config, train_mode, dropout_mask, frozen_severity_input)
     targets = _stack_targets([_targets(graph)], graph.n_nodes)
     total, components = _loss_terms(cache, targets, stack, config)
     grads = _backward(cache, targets, state.params, config)
@@ -645,8 +646,6 @@ def loss_value(
     config: ModelConfig,
     train_mode: bool = True,
     dropout_mask: np.ndarray | None = None,
-    dropout_seed: int = 0,
-    edges: list[tuple[int, int, float]] | None = None,
     frozen_severity_input: np.ndarray | None = None,
 ) -> float:
     """Total loss from the forward pass only; no gradient is computed.
@@ -656,9 +655,7 @@ def loss_value(
     gradients differentiate the same function. Both score the forward
     cache through one shared loss helper.
     """
-    stack, cache = _graph_pass(
-        graph, state, config, train_mode, dropout_mask, dropout_seed, edges, frozen_severity_input
-    )
+    stack, cache = _graph_pass(graph, state, config, train_mode, dropout_mask, frozen_severity_input)
     targets = _stack_targets([_targets(graph)], graph.n_nodes)
     return float(_loss_terms(cache, targets, stack, config)[0][0])
 
@@ -704,14 +701,6 @@ def _check_feature_dims(dataset: list[SignalGraph], config: ModelConfig) -> int:
                     f"no_freq_features expects time-domain features only, found {bad[:2]}"
                 )
     return dims.pop()
-
-
-def _graph_key(index: int, graph: SignalGraph) -> str:
-    return f"{index}:{graph.source}"
-
-
-def _graph_stack(dataset: list[SignalGraph]) -> _Stack:
-    return _stack([g.feature_matrix() for g in dataset], [_edge_arrays(g.edges) for g in dataset])
 
 
 def _anomaly_hits(stack: _Stack, truth: np.ndarray, params: dict, config: ModelConfig) -> int:
@@ -832,8 +821,6 @@ def train(
         log.append(entry)
 
     state.epoch = config.epochs
-    per_graph = np.split(weights, first_edge[1:-1])
-    state.edge_weights = {_graph_key(k, g): w.tolist() for k, (g, w) in enumerate(zip(dataset, per_graph))}
     return state, log
 
 
@@ -847,7 +834,7 @@ def recording_to_graph(
     if pipeline.filter is not None:
         rec = filter_recording(rec, pipeline.filter)
     windows = [
-        WindowFeatures(x=standardizer.transform(w.x), window_index=w.window_index, source=w.source)
+        replace(w, x=standardizer.transform(w.x))
         for w in extract_windows(rec, pipeline.window, pipeline.include_frequency)
     ]
     names = feature_names(include_frequency=pipeline.include_frequency)

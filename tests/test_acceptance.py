@@ -62,10 +62,7 @@ def _rms(signal):
 
 def _random_graph(n, d, seed):
     rng = make_rng(seed)
-    windows = [
-        WindowFeatures(x=rng.normal(size=d) + 0.5, window_index=i, source=f"acc{seed}")
-        for i in range(n)
-    ]
+    windows = [WindowFeatures(x=rng.normal(size=d) + 0.5, source=f"acc{seed}") for _ in range(n)]
     return build_graph(windows, simulate.FaultSpec(kind="healthy"), k=2)
 
 

@@ -13,10 +13,7 @@ from gnnase.simulate import FaultSpec
 
 
 def windows_from(matrix, source="rec"):
-    return [
-        WindowFeatures(x=np.asarray(row, dtype=float), window_index=i, source=source)
-        for i, row in enumerate(matrix)
-    ]
+    return [WindowFeatures(x=np.asarray(row, dtype=float), source=source) for row in matrix]
 
 
 FAULT = FaultSpec(kind="broken_bars", bar_count=2, severity=2.0 / 3.0)

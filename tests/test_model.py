@@ -1,5 +1,7 @@
 """Tests for the network, its gradients, and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,7 @@ SMALL = dict(embed_dim=16, gcn1_dim=8, gcn2_dim=8, severity_dim=4)
 def random_graph(n=6, d=20, seed=0, label=ECC, k=2):
     rng = make_rng(seed)
     windows = [
-        WindowFeatures(x=rng.normal(size=d) + 0.5, window_index=i, source=f"g{seed}")
-        for i in range(n)
+        WindowFeatures(x=rng.normal(size=d) + 0.5, source=f"g{seed}") for _ in range(n)
     ]
     return build_graph(windows, label, k=k)
 
@@ -60,7 +61,7 @@ def dense_gcn_oracle(h, graph, W):
 class TestGcnLayer:
     def test_isolated_node_identity(self):
         g = SignalGraph(
-            nodes=[WindowFeatures(x=np.array([1.0, 2.0]), window_index=0, source="g")],
+            nodes=[WindowFeatures(x=np.array([1.0, 2.0]), source="g")],
             edges=[],
             node_targets=[NodeTargets(0, 0.0, None)],
         )
@@ -214,6 +215,28 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             model.forward(g, state, config)
 
+    @pytest.mark.parametrize(
+        "entry, keyword, shape",
+        [
+            (entry, "dropout_mask", shape)
+            for entry in ("forward", "loss_and_grads", "loss_value")
+            for shape in ((8,), (5, 8), (8, 6))
+        ] + [
+            (entry, "frozen_severity_input", shape)
+            for entry in ("loss_and_grads", "loss_value")
+            for shape in ((1, 8), (6,), (6, 9))
+        ],
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None,
+    )
+    def test_misshaped_mask_or_severity_input_rejected(self, entry, keyword, shape):
+        # A (gcn1_dim,) mask would broadcast over every node, and a one-row
+        # severity input would score in loss_value but not in loss_and_grads.
+        config = model.ModelConfig(**SMALL)
+        g = random_graph(n=6, seed=15)
+        state = model.init_state(20, config)
+        with pytest.raises(ShapeMismatch, match=keyword):
+            getattr(model, entry)(g, state, config, train_mode=True, **{keyword: np.ones(shape)})
+
 
 class TestLoss:
     def test_perfect_predictions_near_zero(self):
@@ -259,15 +282,14 @@ class TestLoss:
         d = 12 if ablation == "no_freq_features" else 20
         g = mixed_targets_graph(n=6, d=d, seed=14)
         state = model.init_state(d, config)
-        _, cache = model.forward(g, state, config, train_mode=True, dropout_seed=3)
-        reweighted = model.reweight_edges(g.edges, cache["H1"], 0.4)
+        mask = model._dropout_mask((6, config.gcn1_dim), config.dropout_p, seed=3)
+        _, cache = model.forward(g, state, config, train_mode=True, dropout_mask=mask)
+        reweighted = replace(g, edges=model.reweight_edges(g.edges, cache["H1"], 0.4))
         frozen = cache["H2"] + 0.1 if frozen else None
-        for edges in (None, reweighted):
-            kwargs = dict(
-                train_mode=True, dropout_seed=3, edges=edges, frozen_severity_input=frozen
-            )
-            total, _, _ = model.loss_and_grads(g, state, config, **kwargs)
-            assert model.loss_value(g, state, config, **kwargs) == total
+        kwargs = dict(train_mode=True, dropout_mask=mask, frozen_severity_input=frozen)
+        for graph in (g, reweighted):
+            total, _, _ = model.loss_and_grads(graph, state, config, **kwargs)
+            assert model.loss_value(graph, state, config, **kwargs) == total
 
 
 def gradcheck(config, graph_seed=21, h=1e-6, tol=1e-4):
@@ -449,21 +471,25 @@ class TestTrain:
         assert [g.edges for g in dataset] == before
 
     def test_reweighting_moves_edge_weights(self):
+        # The two variants differ only in the reweighting after each epoch, so
+        # their parameters part only if the first epoch's reweighting moved a weight.
         dataset = tiny_dataset(4)
-        config = model.ModelConfig(epochs=2, seed=6, **SMALL)
-        state, _ = model.train(dataset, config)
-        flat_before = [w for g in dataset for _, _, w in g.edges]
-        flat_after = [w for ws in state.edge_weights.values() for w in ws]
-        assert flat_before != flat_after
-        assert all(0.0 <= w <= 1.0 for w in flat_after)
+        full, _ = model.train(dataset, model.ModelConfig(epochs=2, seed=6, **SMALL))
+        kept, _ = model.train(
+            dataset, model.ModelConfig(epochs=2, seed=6, ablation="no_reweight", **SMALL)
+        )
+        assert any(not np.array_equal(full.params[k], kept.params[k]) for k in full.params)
 
     def test_no_reweight_keeps_weights(self):
+        # beta = 0 leaves every edge weight where it started, so no_reweight
+        # must train bit for bit like it, whatever its own beta.
         dataset = tiny_dataset(4)
-        config = model.ModelConfig(epochs=2, seed=6, ablation="no_reweight", **SMALL)
-        state, _ = model.train(dataset, config)
-        flat_before = [w for g in dataset for _, _, w in g.edges]
-        flat_after = [w for ws in state.edge_weights.values() for w in ws]
-        assert flat_before == flat_after
+        kept, _ = model.train(
+            dataset, model.ModelConfig(epochs=2, seed=6, ablation="no_reweight", **SMALL)
+        )
+        still, _ = model.train(dataset, model.ModelConfig(epochs=2, seed=6, beta=0.0, **SMALL))
+        for name in kept.params:
+            assert np.array_equal(kept.params[name], still.params[name])
 
     def test_no_severity_identical_anomaly_and_type(self):
         dataset = tiny_dataset(8)
@@ -609,7 +635,7 @@ class TestBatchedEngine:
 def reference_train(dataset, config, val_dataset=None):
     """Per-graph SGD: one loss_and_grads call per graph, reweight_edges per graph."""
     state = model.init_state(dataset[0].nodes[0].x.shape[0], config)
-    edge_lists = [list(g.edges) for g in dataset]
+    graphs = list(dataset)
     log = []
     for epoch in range(config.epochs):
         order = make_rng(derive_seed(config.seed, "shuffle", str(epoch))).permutation(len(dataset))
@@ -618,11 +644,10 @@ def reference_train(dataset, config, val_dataset=None):
             batch = order[start : start + config.batch_size]
             grad_sum = {name: np.zeros_like(p) for name, p in state.params.items()}
             for idx in batch:
-                total, _, grads = model.loss_and_grads(
-                    dataset[idx], state, config,
-                    dropout_seed=derive_seed(config.seed, "dropout", str(epoch), str(idx)),
-                    edges=edge_lists[idx],
-                )
+                g = graphs[idx]
+                seed = derive_seed(config.seed, "dropout", str(epoch), str(idx))
+                mask = model._dropout_mask((g.n_nodes, config.gcn1_dim), config.dropout_p, seed)
+                total, _, grads = model.loss_and_grads(g, state, config, dropout_mask=mask)
                 losses.append(total)
                 for name in grad_sum:
                     grad_sum[name] += grads[name]
@@ -630,9 +655,9 @@ def reference_train(dataset, config, val_dataset=None):
             for name in state.params:
                 state.params[name] -= scale * grad_sum[name]
         if config.ablation != "no_reweight" and config.beta > 0.0:
-            for idx, g in enumerate(dataset):
-                _, cache = model.forward(g, state, config, edges=edge_lists[idx])
-                edge_lists[idx] = model.reweight_edges(edge_lists[idx], cache["H1"], config.beta)
+            for idx, g in enumerate(graphs):
+                _, cache = model.forward(g, state, config)
+                graphs[idx] = replace(g, edges=model.reweight_edges(g.edges, cache["H1"], config.beta))
         entry = {"epoch": epoch, "train_loss": float(np.mean(losses))}
         if val_dataset:
             hits = [
@@ -641,7 +666,7 @@ def reference_train(dataset, config, val_dataset=None):
             ]
             entry["val_accuracy"] = sum(hits) / len(val_dataset)
         log.append(entry)
-    return state, log, edge_lists
+    return state, log
 
 
 class TestTrainMatchesReference:
@@ -651,14 +676,12 @@ class TestTrainMatchesReference:
         graphs = tiny_dataset(8) if dataset == "tiny" else mixed_size_dataset()
         config = model.ModelConfig(epochs=3, batch_size=3, seed=11, ablation=ablation, **SMALL)
         state, log = model.train(graphs, config, val_dataset=graphs[:5])
-        ref_state, ref_log, ref_edges = reference_train(graphs, config, val_dataset=graphs[:5])
+        ref_state, ref_log = reference_train(graphs, config, val_dataset=graphs[:5])
         for name in state.params:
             assert_close(state.params[name], ref_state.params[name])
         for entry, ref in zip(log, ref_log, strict=True):
             assert entry["train_loss"] == pytest.approx(ref["train_loss"], rel=1e-12)
             assert entry["val_accuracy"] == ref["val_accuracy"]
-        weights = [w for ws in state.edge_weights.values() for w in ws]
-        assert_close(weights, [w for edges in ref_edges for _, _, w in edges])
 
 
 class TestCheckpoint:
