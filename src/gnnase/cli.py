@@ -10,6 +10,7 @@ full success.
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, load_config, write_resolved
@@ -66,7 +67,7 @@ def _out_dir(config: RunConfig) -> Path:
 def _checkpoint_path(config: RunConfig) -> Path:
     """A bare file name (no path separator) lives under out_dir; any other path is used as given.
 
-    ``./model.json`` is not bare: it names the file in the working directory.
+    ``./model.bin`` is not bare: it names the file in the working directory.
     """
     path = Path(config.checkpoint)
     return Path(config.out_dir) / path if path.name == config.checkpoint else path
@@ -118,10 +119,14 @@ def cmd_train(args) -> int:
     if checkpoint_path.parent.absolute() != out.absolute():
         _ensure_parent(checkpoint_path)
 
-    recordings, _, _ = _load_dataset(config)
+    recordings, machine, _ = _load_dataset(config)
     out.mkdir(exist_ok=True)
     train_recs, val_recs, _ = split(recordings, config.ratios, seed=config.split_seed())
-    pipeline = config.pipeline(include_frequency=config.model.ablation != "no_freq_features")
+    # The checkpoint pins the rate the dataset was sampled at, not the config's.
+    pipeline = replace(
+        config.pipeline(include_frequency=config.model.ablation != "no_freq_features"),
+        sample_rate=machine.sample_rate,
+    )
     train_g, val_g, standardizer = featurize_splits((train_recs, val_recs), pipeline)
     _say(args, f"training on {len(train_g)} graphs, validating on {len(val_g)}")
 
@@ -148,7 +153,6 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(config)
     state, model_config, pipeline, standardizer = _load_checkpoint(config)
     recordings, _, _ = _load_dataset(config)
-    out.mkdir(exist_ok=True)
     splits = split(recordings, config.ratios, seed=config.split_seed())
     test_recs = splits[2]
 
@@ -158,6 +162,7 @@ def cmd_evaluate(args) -> int:
             f"checkpoint expects {state.feature_dim} features, dataset windows have "
             f"{graphs[0].nodes[0].x.shape[0]}"
         )
+    out.mkdir(exist_ok=True)
 
     variant = VARIANT_NAMES[model_config.ablation]
     predictions = predict(graphs, state, model_config)

@@ -40,7 +40,7 @@ class RunConfig:
     ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
     neighbors: int = 4
     dataset_dir: str = "dataset"
-    checkpoint: str = "checkpoint.json"
+    checkpoint: str = "checkpoint.bin"
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -55,6 +55,7 @@ class RunConfig:
             filter=self.filter,
             neighbors=self.neighbors,
             include_frequency=include_frequency,
+            sample_rate=self.machine.sample_rate,
         )
 
     # Per-stage seeds all hang off the master seed; the labels are part

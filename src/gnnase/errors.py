@@ -86,6 +86,10 @@ class EmptyDataset(DiagnosticsError):
     module = "model"
 
 
+class SampleRateMismatch(DiagnosticsError):
+    module = "model"
+
+
 # -- evaluation -------------------------------------------------------------
 
 class EmptyCatalog(DiagnosticsError):

@@ -39,7 +39,7 @@ no_severity ablation) cannot change anomaly or type behavior.
 
 from __future__ import annotations
 
-import base64
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -54,13 +54,14 @@ from .errors import (
     InvalidConfigValue,
     NegativeWeight,
     RecordingTooShort,
+    SampleRateMismatch,
     ShapeMismatch,
 )
 from .features import Standardizer, WindowSpec, extract_windows, feature_names
 from .graphs import TYPE_CLASSES, SignalGraph, build_graph, row_cosines, similarity_weight
 from .numerics import derive_seed, make_rng
 from .preprocess import FilterSpec, filter_recording
-from .simulate import Recording
+from .simulate import MachineSpec, Recording
 
 ABLATIONS = ("full", "no_reweight", "no_severity", "no_freq_features")
 
@@ -68,7 +69,7 @@ ABLATIONS = ("full", "no_reweight", "no_severity", "no_freq_features")
 # variant must not see them.
 FREQ_NAME_MARKERS = ("f_dom", "h_spec")
 
-CHECKPOINT_FORMAT = "gnnase-checkpoint-v4"
+CHECKPOINT_FORMAT = "gnnase-checkpoint-v5"
 CHECKPOINT_KEYS = ("config", "params", "feature_dim", "epoch", "pipeline", "standardizer")
 
 # The severity head is a softmax over equal bins of [0, 1]; a node's
@@ -151,12 +152,13 @@ class Diagnosis:
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """Featurization settings a trained model depends on."""
+    """Featurization settings a trained model depends on, and the sample rate it was trained at."""
 
     window: WindowSpec = WindowSpec()
     filter: FilterSpec | None = FilterSpec()
     neighbors: int = 4
     include_frequency: bool = True
+    sample_rate: float = MachineSpec.sample_rate
 
 
 def _param_specs(feature_dim: int, config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -802,7 +804,8 @@ def train(
             for name in params:
                 params[name] -= scale * grads[name]
 
-        if config.ablation != "no_reweight" and config.beta > 0.0:
+        # The weights the last epoch would blend are never read.
+        if config.ablation != "no_reweight" and config.beta > 0.0 and epoch < config.epochs - 1:
             # batch_size graphs at a time: one pass over the whole stack
             # gives the same bits but raised peak memory, at no gain in time.
             blended = []
@@ -829,7 +832,17 @@ def recording_to_graph(
     pipeline: PipelineSettings,
     standardizer: Standardizer,
 ) -> SignalGraph:
-    """Preprocess -> featurize -> standardize -> graph, for one recording."""
+    """Preprocess -> featurize -> standardize -> graph, for one recording.
+
+    Raises:
+        SampleRateMismatch: If the recording's sample rate differs from the
+            pipeline's by more than 1e-6 of it, the rounding the CSV reader allows.
+    """
+    if abs(recording.sample_rate - pipeline.sample_rate) > 1e-6 * pipeline.sample_rate:
+        raise SampleRateMismatch(
+            f"recording {recording.name} is sampled at {recording.sample_rate} Hz, "
+            f"the model at {pipeline.sample_rate} Hz"
+        )
     rec = recording
     if pipeline.filter is not None:
         rec = filter_recording(rec, pipeline.filter)
@@ -856,6 +869,7 @@ def diagnose(
 
     Raises:
         RecordingTooShort: If the recording cannot fill one window.
+        SampleRateMismatch: If the recording's sample rate is not the pipeline's.
     """
     if recording.n_samples < pipeline.window.window_len:
         raise RecordingTooShort(
@@ -874,32 +888,27 @@ def save_checkpoint(
     pipeline: PipelineSettings,
     standardizer: Standardizer,
 ) -> None:
-    """Write a JSON checkpoint that restores bit-identical behavior.
+    """Write a checkpoint that restores bit-identical behavior.
 
-    Each tensor's ``data`` is base64 of its row-major little-endian float64
-    bytes, so a save/load cycle changes nothing and the file's size is fixed
-    by the tensor shapes. The standardizer stays two JSON number lists.
+    One line of JSON (the settings, and each tensor's ``[name, shape]`` in
+    order), a newline, then every tensor's row-major little-endian float64
+    bytes back to back, so the file's size is fixed by the tensor shapes.
     """
-    blob = {
+    header = {
         "format": CHECKPOINT_FORMAT,
         "config": codec.to_json(config),
         "feature_dim": state.feature_dim,
         "epoch": state.epoch,
         "pipeline": codec.to_json(pipeline),
         "standardizer": standardizer.to_json(),
-        "params": {
-            name: {
-                "shape": list(p.shape),
-                "data": base64.b64encode(np.ascontiguousarray(p, dtype="<f8").tobytes()).decode(),
-            }
-            for name, p in state.params.items()
-        },
+        "params": [[name, list(p.shape)] for name, p in state.params.items()],
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for p in state.params.values():
+            fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
 
 
 def load_checkpoint(
@@ -908,45 +917,53 @@ def load_checkpoint(
     """Read a checkpoint written by save_checkpoint, checking every entry.
 
     Raises:
-        InvalidConfigValue: If the file is not UTF-8 JSON, the format tag is
-            not CHECKPOINT_FORMAT, or a key is missing, null, malformed or
-            holds a NaN or infinite number, or a standardizer std is below
+        InvalidConfigValue: If the first line is not UTF-8 JSON, the format
+            tag is not CHECKPOINT_FORMAT, a key is missing, null, malformed or
+            holds a NaN or infinite number, the bytes after the first line are
+            not the listed tensors', or a standardizer std is below
             Standardizer.STD_FLOOR (the message names the key).
         InvalidConfig: If the config or pipeline section does not decode.
     """
+    raw = Path(path).read_bytes()
+    head, _, body = raw.partition(b"\n")
     try:
-        with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
+        header = json.loads(head.decode())
     except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
-        raise InvalidConfigValue(f"checkpoint {path} is not UTF-8 JSON: {err}") from None
-    found = blob.get("format") if isinstance(blob, dict) else None
+        try:  # a JSON document of several lines, such as a dataset manifest
+            header = json.loads(raw.decode())
+        except ValueError:
+            raise InvalidConfigValue(f"checkpoint {path} is not UTF-8 JSON: {err}") from None
+    found = header.get("format") if isinstance(header, dict) else None
     if found != CHECKPOINT_FORMAT:
         raise InvalidConfigValue(f"unrecognized checkpoint format {found!r}")
-    missing = [key for key in CHECKPOINT_KEYS if key not in blob]
+    missing = [key for key in CHECKPOINT_KEYS if key not in header]
     if missing:
         raise InvalidConfigValue(f"checkpoint lacks key(s): {', '.join(missing)}")
-    config = codec.from_json(ModelConfig, blob["config"], "config")
-    feature_dim = _checked_int(blob["feature_dim"], "feature_dim", 1)
-    specs = dict(_param_specs(feature_dim, config))
-    entries = _checked_object(blob["params"], "params", tuple(specs))
-    unknown = sorted(set(entries) - set(specs))
-    if unknown:
-        raise InvalidConfigValue(f"checkpoint params.{unknown[0]}: unknown tensor")
-    params = {}
-    for name, shape in specs.items():
-        entry = _checked_object(entries[name], f"params.{name}", ("shape", "data"))
-        if entry["shape"] != list(shape):
-            raise InvalidConfigValue(
-                f"checkpoint params.{name}.shape is {entry['shape']!r}, expected {list(shape)}"
-            )
-        data = _checked_bytes(entry["data"], f"params.{name}.data", int(np.prod(shape)))
-        params[name] = data.reshape(shape)
+    config = codec.from_json(ModelConfig, header["config"], "config")
+    feature_dim = _checked_int(header["feature_dim"], "feature_dim", 1)
+    specs = _param_specs(feature_dim, config)
+    listed = header["params"] if isinstance(header["params"], list) else [header["params"]]
+    expected = [[name, list(shape)] for name, shape in specs]
+    for index, (got, want) in enumerate(itertools.zip_longest(listed, expected)):
+        if got != want:
+            raise InvalidConfigValue(f"checkpoint params[{index}] is {got!r:.60}, expected {want}")
+    size = 8 * sum(math.prod(shape) for _, shape in specs)
+    if len(body) != size:
+        raise InvalidConfigValue(
+            f"checkpoint must hold {size} bytes after its first line, found {len(body)}"
+        )
+    params, offset = {}, 0
+    for name, shape in specs:
+        count = math.prod(shape)
+        tensor = np.frombuffer(body, "<f8", count, offset).reshape(shape).copy()
+        params[name] = _finite(tensor, f"params.{name}.data")
+        offset += 8 * count
     state = ModelState(
-        params=params, feature_dim=feature_dim, epoch=_checked_int(blob["epoch"], "epoch", 0)
+        params=params, feature_dim=feature_dim, epoch=_checked_int(header["epoch"], "epoch", 0)
     )
-    pipeline_blob = _checked_object(blob["pipeline"], "pipeline")
+    pipeline_blob = _checked_object(header["pipeline"], "pipeline")
     pipeline = codec.from_json(PipelineSettings, pipeline_blob, "pipeline")
-    stats = _checked_object(blob["standardizer"], "standardizer", ("mean", "std"))
+    stats = _checked_object(header["standardizer"], "standardizer", ("mean", "std"))
     for part in ("mean", "std"):
         _checked_floats(stats[part], f"standardizer.{part}", feature_dim)
     standardizer = Standardizer.from_json(stats)
@@ -987,19 +1004,6 @@ def _checked_floats(value, key: str, count: int) -> np.ndarray:
     except OverflowError:  # an integer beyond float64's range
         array = np.array([np.inf])
     return _finite(array, key)
-
-
-def _checked_bytes(value, key: str, count: int) -> np.ndarray:
-    """``value`` as base64 of exactly ``count`` little-endian float64s."""
-    raw = None
-    if isinstance(value, str):
-        try:
-            raw = base64.b64decode(value, validate=True)
-        except ValueError:  # binascii.Error, or a non-ASCII character
-            pass
-    if raw is None or len(raw) != 8 * count:
-        raise InvalidConfigValue(f"checkpoint {key} must hold {count} float64s as base64")
-    return _finite(np.frombuffer(raw, "<f8").copy(), key)
 
 
 def _finite(array: np.ndarray, key: str) -> np.ndarray:

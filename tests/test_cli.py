@@ -55,9 +55,26 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
-def tensor_from_base64(data: str) -> np.ndarray:
-    """A checkpoint tensor's flat float64 values, decoded apart from the package."""
-    return np.frombuffer(base64.b64decode(data), dtype="<f8").copy()
+def read_checkpoint(path) -> tuple[dict, bytes]:
+    """A checkpoint's JSON header and the tensor bytes after it, split apart from the package."""
+    head, newline, body = Path(path).read_bytes().partition(b"\n")
+    assert newline
+    return json.loads(head), body
+
+
+def write_checkpoint(path, header: dict, body: bytes) -> None:
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(body))
+
+
+def tensor_span(header: dict, name: str) -> slice:
+    """The bytes of tensor ``name`` in the body, located from the header's [name, shape] list."""
+    offset = 0
+    for listed, shape in header["params"]:
+        size = 8 * int(np.prod(shape))
+        if listed == name:
+            return slice(offset, offset + size)
+        offset += size
+    raise KeyError(name)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +86,7 @@ def workspace(tmp_path_factory):
         extra={
             "paths.dataset_dir": str(root / "data"),
             "paths.out_dir": str(root / "run"),
-            "paths.checkpoint": str(root / "run" / "model.json"),
+            "paths.checkpoint": str(root / "run" / "model.bin"),
         },
     )
     assert run(["simulate", "--config", config, "--quiet"]) == 0
@@ -254,7 +271,7 @@ class TestSimulate:
 class TestTrain:
     def test_outputs_exist(self, workspace):
         root, _ = workspace
-        assert (root / "run" / "model.json").is_file()
+        assert (root / "run" / "model.bin").is_file()
         assert (root / "run" / "training_log.csv").is_file()
         assert (root / "run" / "config_resolved.json").is_file()
 
@@ -272,14 +289,14 @@ class TestTrain:
                 "model.epochs": 0,
                 "paths.dataset_dir": str(root / "data"),
                 "paths.out_dir": str(tmp_path / "run0"),
-                "paths.checkpoint": str(tmp_path / "run0" / "model.json"),
+                "paths.checkpoint": str(tmp_path / "run0" / "model.bin"),
             },
         )
         assert run(["train", "--config", config, "--quiet"]) == 0
         log = (tmp_path / "run0" / "training_log.csv").read_text()
         assert log == "epoch,train_loss,val_accuracy\n"
-        checkpoint = json.loads((tmp_path / "run0" / "model.json").read_text())
-        assert checkpoint["epoch"] == 0
+        header, _ = read_checkpoint(tmp_path / "run0" / "model.bin")
+        assert header["epoch"] == 0
 
     def test_rerun_byte_identical_checkpoint(self, workspace, tmp_path):
         root, _ = workspace
@@ -290,13 +307,30 @@ class TestTrain:
                 extra={
                     "paths.dataset_dir": str(root / "data"),
                     "paths.out_dir": str(tmp_path / f"run-{tag}"),
-                    "paths.checkpoint": str(tmp_path / f"run-{tag}" / "model.json"),
+                    "paths.checkpoint": str(tmp_path / f"run-{tag}" / "model.bin"),
                 },
                 name=f"config-{tag}.json",
             )
             assert run(["train", "--config", config, "--quiet"]) == 0
-            blobs.append((tmp_path / f"run-{tag}" / "model.json").read_bytes())
+            blobs.append((tmp_path / f"run-{tag}" / "model.bin").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_checkpoint_pins_the_dataset_sample_rate(self, workspace, tmp_path):
+        root, _ = workspace
+        # The config names another machine; the rate comes from the dataset's manifest.
+        config = write_config(
+            tmp_path,
+            extra={
+                "machine.sample_rate": 4000,
+                "model.epochs": 0,
+                "paths.dataset_dir": str(root / "data"),
+                "paths.out_dir": str(tmp_path / "run"),
+                "paths.checkpoint": "model.bin",
+            },
+        )
+        assert run(["train", "--config", config, "--quiet"]) == 0
+        header, _ = read_checkpoint(tmp_path / "run" / "model.bin")
+        assert header["pipeline"]["sample_rate"] == TINY["machine"]["sample_rate"]
 
     def test_missing_dataset_fails(self, tmp_path, capsys):
         config = write_config(
@@ -317,7 +351,7 @@ class TestTrain:
             extra={
                 "paths.dataset_dir": str(root / "data"),
                 "paths.out_dir": str(tmp_path / "run"),
-                "paths.checkpoint": str(tmp_path / "nowhere" / "model.json"),
+                "paths.checkpoint": str(tmp_path / "nowhere" / "model.bin"),
             },
         )
         assert run(["train", "--config", config, "--quiet"]) == 1
@@ -333,7 +367,7 @@ class TestEvaluate:
             extra={
                 "paths.dataset_dir": str(root / "data"),
                 "paths.out_dir": str(tmp_path / "run"),
-                "paths.checkpoint": "model.json",
+                "paths.checkpoint": "model.bin",
             },
         )
         assert run(["evaluate", "--config", config, "--quiet"]) == 1
@@ -466,23 +500,23 @@ class TestDiagnose:
             extra={
                 "paths.dataset_dir": str(root / "data"),
                 "paths.out_dir": str(tmp_path / "run"),
-                "paths.checkpoint": "model.json",
+                "paths.checkpoint": "model.bin",
             },
         )
         recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
         for command in (["train"], ["evaluate"], ["diagnose", recording]):
             assert run([command[0], "--config", config, *command[1:], "--quiet"]) == 0
-        assert (tmp_path / "run" / "model.json").is_file()
+        assert (tmp_path / "run" / "model.bin").is_file()
         assert json.loads(capsys.readouterr().out)["decision"]
 
     def test_dot_slash_checkpoint_is_used_as_given(self, workspace, tmp_path, capsys, monkeypatch):
         root, _ = workspace
         # out_dir holds no checkpoint: only the working directory does.
         config = write_config(tmp_path, extra={"paths.out_dir": str(tmp_path / "run")})
-        (tmp_path / "model.json").write_bytes((root / "run" / "model.json").read_bytes())
+        (tmp_path / "model.bin").write_bytes((root / "run" / "model.bin").read_bytes())
         monkeypatch.chdir(tmp_path)
         recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
-        argv = ["diagnose", "--config", config, recording, "--checkpoint", "./model.json", "--quiet"]
+        argv = ["diagnose", "--config", config, recording, "--checkpoint", "./model.bin", "--quiet"]
         assert run(argv) == 0
         assert json.loads(capsys.readouterr().out)["decision"]
 
@@ -560,14 +594,10 @@ class TestErrors:
         assert self.only_error_line(capsys).startswith("[cli] InvalidConfig: model.seed: ")
 
     def test_checkpoint_config_with_unknown_key(self, workspace, tmp_path, capsys):
-        root, config = workspace
-        blob = json.loads((root / "run" / "model.json").read_text())
-        blob["config"]["bogus"] = 1
-        checkpoint = tmp_path / "model.json"
-        checkpoint.write_text(json.dumps(blob))
-        recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
-        argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
-        assert run(argv) == 1
+        def edit(header, body):
+            header["config"]["bogus"] = 1
+
+        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
         assert self.only_error_line(capsys) == "[cli] InvalidConfig: config.bogus: unknown key"
 
     @pytest.mark.parametrize("document", ["manifest", "list"])
@@ -594,21 +624,17 @@ class TestErrors:
 
     @pytest.mark.parametrize("key", CHECKPOINT_KEYS)
     def test_checkpoint_missing_key_named(self, workspace, tmp_path, capsys, key):
-        root, config = workspace
-        blob = json.loads((root / "run" / "model.json").read_text())
-        del blob[key]
-        checkpoint = tmp_path / "model.json"
-        checkpoint.write_text(json.dumps(blob))
-        recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
-        argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
-        assert run(argv) == 1
+        def edit(header, body):
+            del header[key]
+
+        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
         assert self.only_error_line(capsys) == (
             f"[gnnase] InvalidConfigValue: checkpoint lacks key(s): {key}"
         )
 
     def test_format_tag_alone_is_not_a_checkpoint(self, workspace, tmp_path, capsys):
         root, config = workspace
-        checkpoint = tmp_path / "model.json"
+        checkpoint = tmp_path / "model.bin"
         checkpoint.write_text(json.dumps({"format": CHECKPOINT_FORMAT}))
         recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
         argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
@@ -619,105 +645,123 @@ class TestErrors:
 
     @staticmethod
     def diagnose_edited_checkpoint(workspace, tmp_path, edit) -> int:
-        """Run diagnose on a copy of the trained checkpoint changed by ``edit``."""
+        """Run diagnose on a copy of the trained checkpoint, once ``edit(header, body)``
+        has changed its JSON header and its tensor bytes (a bytearray) in place."""
         root, config = workspace
-        blob = json.loads((root / "run" / "model.json").read_text())
-        edit(blob)
-        checkpoint = tmp_path / "model.json"
-        checkpoint.write_text(json.dumps(blob))
+        header, body = read_checkpoint(root / "run" / "model.bin")
+        body = bytearray(body)
+        edit(header, body)
+        checkpoint = tmp_path / "model.bin"
+        write_checkpoint(checkpoint, header, body)
         recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
         argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
         return run(argv)
 
     def test_previous_checkpoint_format_rejected(self, workspace, tmp_path, capsys):
-        assert CHECKPOINT_FORMAT == "gnnase-checkpoint-v4"
-
-        def edit(blob):
-            blob["format"] = "gnnase-checkpoint-v3"
-
-        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
+        assert CHECKPOINT_FORMAT == "gnnase-checkpoint-v5"
+        # The same model in the v4 layout: one JSON object, each tensor base64 inside it.
+        root, config = workspace
+        header, body = read_checkpoint(root / "run" / "model.bin")
+        header["format"] = "gnnase-checkpoint-v4"
+        header["params"] = {
+            name: {"shape": shape, "data": base64.b64encode(body[tensor_span(header, name)]).decode()}
+            for name, shape in header["params"]
+        }
+        checkpoint = tmp_path / "v4.json"
+        checkpoint.write_text(json.dumps(header) + "\n")
+        recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
+        argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
+        assert run(argv) == 1
         assert self.only_error_line(capsys) == (
-            "[gnnase] InvalidConfigValue: unrecognized checkpoint format 'gnnase-checkpoint-v3'"
+            "[gnnase] InvalidConfigValue: unrecognized checkpoint format 'gnnase-checkpoint-v4'"
         )
 
     @pytest.mark.parametrize(
         "section, entry, part",
-        [("params", "W_sev2", "data"), ("params", "b_anom", "shape"), ("standardizer", "std", None),
-         ("params", "W_type", None)],
+        [("params", "b_anom", "shape"), ("standardizer", "std", None), ("params", "W_type", None)],
     )
     def test_checkpoint_missing_entry_named(
         self, workspace, tmp_path, capsys, section, entry, part
     ):
-        def edit(blob):
-            if part is None:
-                del blob[section][entry]
+        root, _ = workspace
+        listed = read_checkpoint(root / "run" / "model.bin")[0]["params"]
+        index = [name for name, _ in listed].index(entry) if section == "params" else None
+
+        def edit(header, body):
+            if section == "standardizer":
+                del header[section][entry]
+            elif part is None:
+                del header["params"][index]
             else:
-                del blob[section][entry][part]
+                del header["params"][index][1]
 
         assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
-        key = ".".join(k for k in (section, entry, part) if k)
-        assert self.only_error_line(capsys) == (
-            f"[gnnase] InvalidConfigValue: checkpoint lacks key {key}"
-        )
+        line = self.only_error_line(capsys)
+        if section == "standardizer":
+            assert line == "[gnnase] InvalidConfigValue: checkpoint lacks key standardizer.std"
+        else:
+            assert line.startswith(f"[gnnase] InvalidConfigValue: checkpoint params[{index}] is ")
+            assert line.endswith(f"expected {listed[index]}")
 
     def test_checkpoint_wrong_shape_named(self, workspace, tmp_path, capsys):
-        def edit(blob):
-            blob["params"]["W_gcn2"]["shape"] = blob["params"]["W_gcn2"]["shape"][::-1] + [1]
+        def edit(header, body):
+            entry = next(e for e in header["params"] if e[0] == "W_gcn2")
+            entry[1] = entry[1][::-1] + [1]
 
         assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
         assert self.only_error_line(capsys).startswith(
-            "[gnnase] InvalidConfigValue: checkpoint params.W_gcn2.shape is "
+            "[gnnase] InvalidConfigValue: checkpoint params[4] is ['W_gcn2', "
         )
 
-    @pytest.mark.parametrize("entry", ["params.W_embed.data", "standardizer.mean"])
+    @pytest.mark.parametrize("entry", ["standardizer.mean"])
     def test_checkpoint_wrong_length_named(self, workspace, tmp_path, capsys, entry):
-        section, *rest = entry.split(".")
+        section, part = entry.split(".")
 
-        def edit(blob):
-            target = blob[section]
-            for key in rest[:-1]:
-                target = target[key]
-            target[rest[-1]] = target[rest[-1]][:-1]
+        def edit(header, body):
+            header[section][part] = header[section][part][:-1]
 
         assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
         assert self.only_error_line(capsys).startswith(
             f"[gnnase] InvalidConfigValue: checkpoint {entry} must hold "
         )
 
+    @pytest.mark.parametrize(
+        "change", ["truncated", "trailing", "empty", "one_float_short", "tensor_missing"]
+    )
+    def test_checkpoint_body_length_named(self, workspace, tmp_path, capsys, change):
+        root, _ = workspace
+        header, body = read_checkpoint(root / "run" / "model.bin")
+        size = len(body)
+        w_embed, w_sev2 = tensor_span(header, "W_embed"), tensor_span(header, "W_sev2")
+        edited = {
+            "truncated": body[: size // 2],
+            "trailing": body + b"\n",
+            "empty": b"",
+            "one_float_short": body[: w_embed.stop - 8] + body[w_embed.stop :],
+            "tensor_missing": body[: w_sev2.start] + body[w_sev2.stop :],
+        }[change]
+
+        def edit(header, body):
+            body[:] = edited
+
+        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
+        assert self.only_error_line(capsys) == (
+            f"[gnnase] InvalidConfigValue: checkpoint must hold {size} bytes after its first "
+            f"line, found {len(edited)}"
+        )
+
     @pytest.mark.parametrize("kind", ["strings", "booleans"])
     def test_checkpoint_standardizer_non_numbers_named(self, workspace, tmp_path, capsys, kind):
         root, _ = workspace
-        count = len(json.loads((root / "run" / "model.json").read_text())["standardizer"]["mean"])
+        count = len(read_checkpoint(root / "run" / "model.bin")[0]["standardizer"]["mean"])
 
-        def edit(blob):
-            mean = blob["standardizer"]["mean"]
+        def edit(header, body):
+            mean = header["standardizer"]["mean"]
             mean[:] = [str(v) for v in mean] if kind == "strings" else [True] * count
 
         assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
         assert self.only_error_line(capsys) == (
             f"[gnnase] InvalidConfigValue: checkpoint standardizer.mean must hold {count} numbers"
-        )
-
-    @pytest.mark.parametrize("data", ["not_base64", "number_list", "number", "non_ascii"])
-    def test_checkpoint_tensor_not_base64_named(self, workspace, tmp_path, capsys, data):
-        def edit(blob):
-            entry = blob["params"]["W_embed"]
-            if data == "not_base64":
-                entry["data"] = "*" + entry["data"][1:]
-            elif data == "number_list":  # the tensor as v3 wrote it
-                entry["data"] = tensor_from_base64(entry["data"]).tolist()
-            elif data == "number":
-                entry["data"] = 1.0
-            else:
-                entry["data"] = "\u00e9" + entry["data"][1:]
-
-        root, _ = workspace
-        shape = json.loads((root / "run" / "model.json").read_text())["params"]["W_embed"]["shape"]
-        count = int(np.prod(shape))
-        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
-        assert self.only_error_line(capsys) == (
-            f"[gnnase] InvalidConfigValue: checkpoint params.W_embed.data must hold "
-            f"{count} float64s as base64"
         )
 
     @pytest.mark.parametrize(
@@ -733,16 +777,12 @@ class TestErrors:
     def test_checkpoint_non_finite_value_named(self, workspace, tmp_path, capsys, entry, value):
         section, *rest = entry.split(".")
 
-        def edit(blob):
-            target = blob[section]
-            for key in rest[:-1]:
-                target = target[key]
+        def edit(header, body):
             if section == "params":
-                tensor = tensor_from_base64(target["data"])
-                tensor[-1] = value
-                target["data"] = base64.b64encode(tensor.astype("<f8").tobytes()).decode()
+                end = tensor_span(header, rest[0]).stop
+                body[end - 8 : end] = np.array([value], dtype="<f8").tobytes()
             else:
-                target[rest[-1]][0] = value  # json.dumps writes NaN / -Infinity
+                header[section][rest[0]][0] = value  # json.dumps writes NaN / -Infinity
 
         assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
         assert self.only_error_line(capsys) == (
@@ -751,8 +791,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_checkpoint_std_below_floor_named(self, workspace, tmp_path, capsys, value):
-        def edit(blob):
-            blob["standardizer"]["std"][2] = value
+        def edit(header, body):
+            header["standardizer"]["std"][2] = value
 
         assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
         assert self.only_error_line(capsys) == (
@@ -763,18 +803,22 @@ class TestErrors:
         "key, value", [("pipeline", None), ("standardizer", None), ("epoch", "x"), ("epoch", -1)]
     )
     def test_checkpoint_bad_value_named(self, workspace, tmp_path, capsys, key, value):
-        def edit(blob):
-            blob[key] = value
+        def edit(header, body):
+            header[key] = value
 
         assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
         assert self.only_error_line(capsys).startswith(
             f"[gnnase] InvalidConfigValue: checkpoint {key} must be "
         )
 
-    @pytest.mark.parametrize("content", [b"not json", b'{"format": "caf\xe9"}'], ids=["text", "latin1"])
+    @pytest.mark.parametrize(
+        "content", [b"not json", b'{"format": "caf\xe9"}', None], ids=["text", "latin1", "header_latin1"]
+    )
     def test_checkpoint_not_utf8_json(self, workspace, tmp_path, capsys, content):
         root, config = workspace
-        checkpoint = tmp_path / "model.json"
+        if content is None:  # the trained checkpoint, with one byte of its header not UTF-8
+            content = (root / "run" / "model.bin").read_bytes().replace(b'"full"', b'"f\xfcll"', 1)
+        checkpoint = tmp_path / "model.bin"
         checkpoint.write_bytes(content)
         recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
         argv = ["diagnose", "--config", config, recording, "--checkpoint", checkpoint, "--quiet"]
@@ -822,10 +866,41 @@ class TestErrors:
         line = self.only_error_line(capsys)
         assert line.startswith(f"[simulate] ParseError: {manifest_path}: ") and named in line
 
+    def test_diagnose_refuses_another_sample_rate(self, workspace, tmp_path, capsys):
+        root, config = workspace
+        machine = simulate.MachineSpec(sample_rate=4000.0, duration=0.5)
+        healthy = simulate.FaultSpec(kind="healthy")
+        rec = simulate.synthesize(machine, simulate.OperatingPoint.from_load(0), healthy, 30.0, 1)
+        fast = tmp_path / "fast.csv"
+        simulate.write_recording_csv(fast, rec)
+        assert run(["diagnose", "--config", config, fast, "--quiet"]) == 1
+        assert self.only_error_line(capsys) == (
+            "[model] SampleRateMismatch: recording fast is sampled at 4000.0 Hz, "
+            "the model at 2000.0 Hz"
+        )
+
+    def test_evaluate_refuses_another_sample_rate(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        config = write_config(
+            tmp_path,
+            extra={
+                "machine.sample_rate": 4000,
+                "paths.dataset_dir": str(tmp_path / "data"),
+                "paths.out_dir": str(tmp_path / "run"),
+                "paths.checkpoint": str(root / "run" / "model.bin"),
+            },
+        )
+        assert run(["simulate", "--config", config, "--quiet"]) == 0
+        assert run(["evaluate", "--config", config, "--quiet"]) == 1
+        line = self.only_error_line(capsys)
+        assert line.startswith("[model] SampleRateMismatch: recording ")
+        assert line.endswith(" is sampled at 4000.0 Hz, the model at 2000.0 Hz")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("value", ["no", None, 0])
     def test_checkpoint_non_boolean_include_frequency(self, workspace, tmp_path, capsys, value):
-        def edit(blob):
-            blob["pipeline"]["include_frequency"] = value
+        def edit(header, body):
+            header["pipeline"]["include_frequency"] = value
 
         assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
         assert self.only_error_line(capsys).startswith(
@@ -843,12 +918,12 @@ class TestErrors:
     @pytest.mark.parametrize("filtered", [True, False], ids=["filter", "no_filter"])
     def test_non_finite_sample_rejected(self, workspace, tmp_path, capsys, value, filtered):
         root, config = workspace
-        checkpoint = root / "run" / "model.json"
+        checkpoint = root / "run" / "model.bin"
         if not filtered:
-            blob = json.loads(checkpoint.read_text())
-            blob["pipeline"]["filter"] = None
-            checkpoint = tmp_path / "model.json"
-            checkpoint.write_text(json.dumps(blob))
+            header, body = read_checkpoint(checkpoint)
+            header["pipeline"]["filter"] = None
+            checkpoint = tmp_path / "model.bin"
+            write_checkpoint(checkpoint, header, body)
         source = sorted((root / "requests").glob("healthy-*.csv"))[0]
         lines = source.read_text().strip().split("\n")
         t, a, rest = lines[300].split(",", 2)

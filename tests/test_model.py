@@ -1,9 +1,15 @@
 """Tests for the network, its gradients, and the training loop."""
 
+import json
+import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnnase import model
 from gnnase.errors import (
@@ -11,12 +17,14 @@ from gnnase.errors import (
     FeatureDimMismatch,
     InvalidConfigValue,
     NegativeWeight,
+    SampleRateMismatch,
     ShapeMismatch,
 )
-from gnnase.features import Standardizer, WindowFeatures
+from gnnase.features import Standardizer, WindowFeatures, WindowSpec
 from gnnase.graphs import NodeTargets, SignalGraph, build_graph
 from gnnase.numerics import derive_seed, finite_diff_grad, make_rng
-from gnnase.simulate import FaultSpec
+from gnnase.preprocess import FilterSpec
+from gnnase.simulate import FaultSpec, MachineSpec, OperatingPoint, synthesize
 
 ECC = FaultSpec(kind="eccentricity", subtype="static", severity=0.75)
 HEALTHY = FaultSpec(kind="healthy")
@@ -480,6 +488,16 @@ class TestTrain:
         )
         assert any(not np.array_equal(full.params[k], kept.params[k]) for k in full.params)
 
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_no_reweighting_after_the_last_epoch(self, monkeypatch, epochs):
+        # Reweighting runs batch_size graphs at a time after every epoch but
+        # the last, whose blended weights nothing would read.
+        calls = []
+        reweighted = model._reweighted
+        monkeypatch.setattr(model, "_reweighted", lambda *a: calls.append(1) or reweighted(*a))
+        model.train(tiny_dataset(5), model.ModelConfig(epochs=epochs, batch_size=2, **SMALL))
+        assert len(calls) == (epochs - 1) * math.ceil(5 / 2)
+
     def test_no_reweight_keeps_weights(self):
         # beta = 0 leaves every edge weight where it started, so no_reweight
         # must train bit for bit like it, whatever its own beta.
@@ -727,3 +745,91 @@ class TestCheckpoint:
         d2, _ = model.forward(g, loaded, config)
         assert np.array_equal(d1.node_anomaly, d2.node_anomaly)
         assert np.array_equal(d1.node_type, d2.node_type)
+
+
+def random_state(feature_dim: int, config: model.ModelConfig, seed: int) -> model.ModelState:
+    """Every tensor filled with random finite float64 bit patterns, -0.0 and subnormals included."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in model._param_specs(feature_dim, config):
+        bits = rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        values[~np.isfinite(values)] = -0.0
+        params[name] = values
+    return model.ModelState(params=params, feature_dim=feature_dim, epoch=int(rng.integers(0, 9)))
+
+
+class TestCheckpointLayout:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        feature_dim=st.integers(1, 40),
+        widths=st.tuples(*[st.integers(1, 24)] * 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_any_widths_bit_for_bit(self, feature_dim, widths, seed):
+        embed, gcn1, gcn2, sev = widths
+        config = model.ModelConfig(embed_dim=embed, gcn1_dim=gcn1, gcn2_dim=gcn2, severity_dim=sev)
+        state = random_state(feature_dim, config, seed)
+        rng = np.random.default_rng(seed)
+        standardizer = Standardizer(
+            mean=rng.normal(size=feature_dim), std=rng.uniform(0.5, 2.0, feature_dim)
+        )
+        pipeline = model.PipelineSettings(sample_rate=float(rng.integers(500, 50_000)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.bin"
+            model.save_checkpoint(path, state, config, pipeline, standardizer)
+            loaded, loaded_config, loaded_pipeline, loaded_std = model.load_checkpoint(path)
+        assert (loaded_config, loaded_pipeline, loaded.epoch) == (config, pipeline, state.epoch)
+        assert list(loaded.params) == list(state.params)
+        for name, tensor in state.params.items():
+            assert loaded.params[name].shape == tensor.shape
+            assert loaded.params[name].tobytes() == tensor.tobytes()
+        assert loaded_std.mean.tobytes() == standardizer.mean.tobytes()
+        assert loaded_std.std.tobytes() == standardizer.std.tobytes()
+
+    def test_file_is_a_json_line_then_the_raw_tensors(self, tmp_path):
+        config = model.ModelConfig(**SMALL)
+        state = random_state(20, config, seed=4)
+        standardizer = Standardizer(mean=np.zeros(20), std=np.ones(20))
+        path = tmp_path / "model.bin"
+        model.save_checkpoint(path, state, config, model.PipelineSettings(), standardizer)
+        raw = path.read_bytes()
+        head, _, body = raw.partition(b"\n")
+        size = sum(math.prod(shape) for _, shape in model._param_specs(20, config))
+        assert len(raw) == len(head) + 1 + 8 * size
+        header = json.loads(head)
+        assert header["format"] == model.CHECKPOINT_FORMAT == "gnnase-checkpoint-v5"
+        assert header["params"] == [[name, list(p.shape)] for name, p in state.params.items()]
+        assert body == b"".join(p.astype("<f8").tobytes() for p in state.params.values())
+
+
+class TestSampleRate:
+    PIPELINE = model.PipelineSettings(
+        window=WindowSpec(window_len=256, hop=128),
+        filter=FilterSpec(cutoff=400.0, order=4),
+        neighbors=2,
+        sample_rate=2000.0,
+    )
+
+    @staticmethod
+    def recording(sample_rate):
+        machine = MachineSpec(sample_rate=2000.0, duration=0.5)
+        rec = synthesize(machine, OperatingPoint.from_load(0), HEALTHY, None, 3)
+        return replace(rec, sample_rate=sample_rate)
+
+    @pytest.mark.parametrize("rate", [2000.0, 2000.0 * (1 + 9e-7), 2000.0 * (1 - 9e-7)])
+    def test_rate_within_reader_rounding_accepted(self, rate):
+        standardizer = Standardizer(mean=np.zeros(20), std=np.ones(20))
+        graph = model.recording_to_graph(self.recording(rate), self.PIPELINE, standardizer)
+        assert graph.n_nodes == 6
+
+    @pytest.mark.parametrize("rate", [4000.0, 2000.0 * (1 + 2e-6), 1999.0])
+    def test_other_rate_refused_naming_both(self, rate):
+        config = model.ModelConfig(**SMALL)
+        standardizer = Standardizer(mean=np.zeros(20), std=np.ones(20))
+        recording = self.recording(rate)
+        with pytest.raises(SampleRateMismatch) as err:
+            model.diagnose(recording, model.init_state(20, config), config, self.PIPELINE, standardizer)
+        assert str(err.value) == (
+            f"recording {recording.name} is sampled at {rate} Hz, the model at 2000.0 Hz"
+        )
