@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, load_config, write_resolved
-from .errors import DiagnosticsError, FeatureDimMismatch, IoError
+from .errors import DiagnosticsError, IoError
 from .evaluate import (
     VARIANT_NAMES,
     EvalReport,
@@ -157,11 +157,6 @@ def cmd_evaluate(args) -> int:
     test_recs = splits[2]
 
     graphs = [recording_to_graph(rec, pipeline, standardizer) for rec in test_recs]
-    if graphs and graphs[0].nodes[0].x.shape[0] != state.feature_dim:
-        raise FeatureDimMismatch(
-            f"checkpoint expects {state.feature_dim} features, dataset windows have "
-            f"{graphs[0].nodes[0].x.shape[0]}"
-        )
     out.mkdir(exist_ok=True)
 
     variant = VARIANT_NAMES[model_config.ablation]

@@ -86,14 +86,14 @@ class TypeConfusion:
         return int(self.counts.sum())
 
     @classmethod
-    def from_pairs(cls, truth, predicted, classes=TYPE_CLASSES) -> "TypeConfusion":
+    def from_pairs(cls, truth, predicted) -> "TypeConfusion":
         if len(truth) != len(predicted):
             raise ValueError("truth and prediction lists differ in length")
-        index = {name: i for i, name in enumerate(classes)}
-        counts = np.zeros((len(classes), len(classes)), dtype=int)
+        index = {name: i for i, name in enumerate(TYPE_CLASSES)}
+        counts = np.zeros((len(TYPE_CLASSES), len(TYPE_CLASSES)), dtype=int)
         for t, p in zip(truth, predicted):
             counts[index[t], index[p]] += 1
-        return cls(classes=tuple(classes), counts=counts)
+        return cls(classes=TYPE_CLASSES, counts=counts)
 
     def one_vs_rest(self, cls_index: int) -> ConfusionMatrix:
         tp = int(self.counts[cls_index, cls_index])

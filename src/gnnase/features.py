@@ -65,10 +65,10 @@ class WindowFeatures:
     source: str
 
 
-def feature_names(channels=CHANNEL_NAMES, include_frequency: bool = True) -> list[str]:
+def feature_names(include_frequency: bool = True) -> list[str]:
     """Column names in extraction order: channel-major, feature-minor."""
     kinds = ALL_FEATURES if include_frequency else TIME_FEATURES
-    return [f"{ch}_{kind}" for ch in channels for kind in kinds]
+    return [f"{ch}_{kind}" for ch in CHANNEL_NAMES for kind in kinds]
 
 
 def window_features(windows, sample_rate: float, include_frequency: bool = True) -> np.ndarray:
@@ -136,10 +136,9 @@ def extract_windows(
 
     Raises:
         RecordingTooShort: If the recording is shorter than one window.
-        NonFinite: If any sample is NaN or infinite.
     """
     spec.count(recording.n_samples)  # raises RecordingTooShort
-    windows = sliding_window_view(recording.stacked(), spec.window_len, axis=-1)[:, :: spec.hop]
+    windows = sliding_window_view(recording.signals, spec.window_len, axis=-1)[:, :: spec.hop]
     matrix = window_features(windows, recording.sample_rate, include_frequency)
     return [WindowFeatures(x=row, source=recording.name) for row in matrix]
 

@@ -53,21 +53,16 @@ from .errors import (
     FeatureDimMismatch,
     InvalidConfigValue,
     NegativeWeight,
-    RecordingTooShort,
     SampleRateMismatch,
     ShapeMismatch,
 )
-from .features import Standardizer, WindowSpec, extract_windows, feature_names
+from .features import FREQ_FEATURES, Standardizer, WindowSpec, extract_windows, feature_names
 from .graphs import TYPE_CLASSES, SignalGraph, build_graph, row_cosines, similarity_weight
 from .numerics import derive_seed, make_rng
 from .preprocess import FilterSpec, filter_recording
 from .simulate import MachineSpec, Recording
 
 ABLATIONS = ("full", "no_reweight", "no_severity", "no_freq_features")
-
-# Names of the frequency-domain feature columns; the no_freq_features
-# variant must not see them.
-FREQ_NAME_MARKERS = ("f_dom", "h_spec")
 
 CHECKPOINT_FORMAT = "gnnase-checkpoint-v5"
 CHECKPOINT_KEYS = ("config", "params", "feature_dim", "epoch", "pipeline", "standardizer")
@@ -697,7 +692,7 @@ def _check_feature_dims(dataset: list[SignalGraph], config: ModelConfig) -> int:
         raise FeatureDimMismatch(f"graphs carry mixed feature dims: {sorted(dims)}")
     if config.ablation == "no_freq_features":
         for g in dataset:
-            bad = [n for n in g.feature_names if any(m in n for m in FREQ_NAME_MARKERS)]
+            bad = [n for n in g.feature_names if any(m in n for m in FREQ_FEATURES)]
             if bad:
                 raise FeatureDimMismatch(
                     f"no_freq_features expects time-domain features only, found {bad[:2]}"
@@ -871,11 +866,6 @@ def diagnose(
         RecordingTooShort: If the recording cannot fill one window.
         SampleRateMismatch: If the recording's sample rate is not the pipeline's.
     """
-    if recording.n_samples < pipeline.window.window_len:
-        raise RecordingTooShort(
-            f"recording has {recording.n_samples} samples, below window_len "
-            f"{pipeline.window.window_len}"
-        )
     graph = recording_to_graph(recording, pipeline, standardizer)
     diagnosis, _ = forward(graph, state, config, train_mode=False)
     return diagnosis
@@ -920,7 +910,8 @@ def load_checkpoint(
         InvalidConfigValue: If the first line is not UTF-8 JSON, the format
             tag is not CHECKPOINT_FORMAT, a key is missing, null, malformed or
             holds a NaN or infinite number, the bytes after the first line are
-            not the listed tensors', or a standardizer std is below
+            not the listed tensors', the pipeline yields another feature count
+            than feature_dim, or a standardizer std is below
             Standardizer.STD_FLOOR (the message names the key).
         InvalidConfig: If the config or pipeline section does not decode.
     """
@@ -963,6 +954,11 @@ def load_checkpoint(
     )
     pipeline_blob = _checked_object(header["pipeline"], "pipeline")
     pipeline = codec.from_json(PipelineSettings, pipeline_blob, "pipeline")
+    columns = len(feature_names(include_frequency=pipeline.include_frequency))
+    if feature_dim != columns:
+        raise InvalidConfigValue(
+            f"checkpoint feature_dim is {feature_dim}, but its pipeline yields {columns} features"
+        )
     stats = _checked_object(header["standardizer"], "standardizer", ("mean", "std"))
     for part in ("mean", "std"):
         _checked_floats(stats[part], f"standardizer.{part}", feature_dim)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CutoffAboveNyquist, InvalidConfigValue
-from .simulate import CHANNEL_NAMES, Recording
+from .simulate import Recording
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,7 @@ def butterworth_filter(signal, sample_rate: float, spec: FilterSpec) -> np.ndarr
 
 
 def filter_recording(recording: Recording, spec: FilterSpec) -> Recording:
-    """Apply the low-pass to all channels of a recording in one call.
-
-    Raises:
-        NonFinite: If any sample is NaN or infinite.
-    """
-    filtered = butterworth_filter(recording.stacked(), recording.sample_rate, spec)
-    return replace(recording, channels=dict(zip(CHANNEL_NAMES, filtered)))
+    """Apply the low-pass to all channels of a recording in one call."""
+    return replace(
+        recording, signals=butterworth_filter(recording.signals, recording.sample_rate, spec)
+    )

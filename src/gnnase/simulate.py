@@ -193,9 +193,16 @@ class FaultSpec:
 
 @dataclass
 class Recording:
-    """One synthesized multi-channel measurement with its ground truth."""
+    """One multi-channel measurement with its ground truth.
 
-    channels: dict[str, np.ndarray]
+    ``signals`` is one C-contiguous float64 array of shape
+    ``(len(CHANNEL_NAMES), samples)``, rows in CHANNEL_NAMES order.
+
+    Raises:
+        NonFinite: If any sample is NaN or infinite.
+    """
+
+    signals: np.ndarray
     sample_rate: float
     label: FaultSpec
     operating_point: OperatingPoint
@@ -203,24 +210,17 @@ class Recording:
     name: str = ""
 
     def __post_init__(self):
-        lengths = {key: len(sig) for key, sig in self.channels.items()}
-        if len(set(lengths.values())) > 1:
-            raise InvalidConfigValue(f"channel lengths differ: {lengths}")
+        if not np.isfinite(self.signals).all():
+            raise NonFinite(f"recording {self.name} holds NaN or infinite samples")
 
     @property
     def n_samples(self) -> int:
-        return len(next(iter(self.channels.values())))
+        return self.signals.shape[1]
 
-    def stacked(self) -> np.ndarray:
-        """Channels as one (channels, samples) array in CHANNEL_NAMES order.
-
-        Raises:
-            NonFinite: If any sample is NaN or infinite.
-        """
-        signals = np.stack([self.channels[key] for key in CHANNEL_NAMES])
-        if not np.all(np.isfinite(signals)):
-            raise NonFinite(f"recording {self.name} holds NaN or infinite samples")
-        return signals
+    @property
+    def channels(self) -> dict[str, np.ndarray]:
+        """Each channel name mapped to its row of ``signals`` (a view)."""
+        return dict(zip(CHANNEL_NAMES, self.signals))
 
 
 def brb_sidebands(f_s: float, s: float) -> tuple[float, float]:
@@ -361,17 +361,16 @@ def _synthesize(
             vibration += _tone(t, waves, level, abs(f_s + m * fault.fv))
             vibration += _tone(t, waves, level, abs(f_s - m * fault.fv))
 
-    channels = dict(zip(CHANNEL_NAMES, [*phases, vibration]))
+    signals = np.stack([*phases, vibration])
     if noise_snr_db is not None:
         rng = make_rng(seed)
         factor = 10.0 ** (-noise_snr_db / 20.0)
-        for key in CHANNEL_NAMES:
-            clean = channels[key]
-            sigma = float(np.sqrt(np.mean(clean**2))) * factor
-            channels[key] = clean + rng.normal(0.0, sigma, size=n)
+        for row in signals:
+            sigma = float(np.sqrt(np.mean(row**2))) * factor
+            row += rng.normal(0.0, sigma, size=n)
 
     return Recording(
-        channels=channels,
+        signals=signals,
         sample_rate=machine.sample_rate,
         label=fault,
         operating_point=op,
@@ -426,12 +425,9 @@ def write_recording_csv(path: str | Path, recording: Recording) -> None:
 
     Floats are written with repr(), so read_recording_csv gives back every
     sample bit for bit and a rewrite is byte-identical.
-
-    Raises:
-        NonFinite: If any sample is NaN or infinite.
     """
     t = np.arange(recording.n_samples) / recording.sample_rate
-    table = np.column_stack([t, recording.stacked().T])
+    table = np.column_stack([t, recording.signals.T])
     fields = map(repr, table.ravel().tolist())
     rows = map(",".join, zip(*[fields] * table.shape[1]))
     with open(path, "w", encoding="utf-8") as fh:
@@ -452,6 +448,7 @@ def read_recording_csv(path: str | Path) -> Recording:
             fewer than two samples, or a time step that differs from the
             first by more than 1e-6 of it, with the file and line number.
         ChannelMismatch: If the channel columns differ from CHANNEL_NAMES.
+        NonFinite: If any sample is NaN or infinite.
     """
     path = Path(path)
     if not path.is_file():
@@ -492,7 +489,7 @@ def read_recording_csv(path: str | Path) -> Recording:
     if abs(sample_rate - round(sample_rate)) < 1e-6 * sample_rate:
         sample_rate = float(round(sample_rate))
     return Recording(
-        channels={name: data[:, i + 1].copy() for i, name in enumerate(CHANNEL_NAMES)},
+        signals=np.ascontiguousarray(data[:, 1:].T),
         sample_rate=sample_rate,
         label=FaultSpec(kind="healthy"),
         operating_point=OperatingPoint.from_load(0),
@@ -544,23 +541,19 @@ def save_catalog(
 ) -> Path:
     """Write one ``<name>.npy`` per recording plus a manifest.json into ``directory``.
 
-    Each file holds the recording's (channels, samples) float64 array from
-    Recording.stacked(), rows in the manifest's ``channels`` order. The .npy
-    header is fixed text, so saving the same catalog twice writes the same
-    bytes.
+    Each file holds the recording's ``signals`` array, rows in the
+    manifest's ``channels`` order. The .npy header is fixed text, so saving
+    the same catalog twice writes the same bytes.
 
     Returns:
         Path of the manifest file.
-
-    Raises:
-        NonFinite: If any sample is NaN or infinite.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for rec in recordings:
         filename = f"{rec.name}.npy"
-        np.save(directory / filename, rec.stacked())
+        np.save(directory / filename, rec.signals)
         entries.append(
             {
                 "name": rec.name,
@@ -595,8 +588,8 @@ def load_catalog(directory: str | Path) -> tuple[list[Recording], MachineSpec, d
 
     The whole manifest is checked before any recording file is read. Each
     file is read as .npy without unpickling and must hold one finite float64
-    array of shape (channels, machine.n_samples); its rows become the
-    recording's channels, and the sample rate is the manifest machine's.
+    array of shape (channels, machine.n_samples), which becomes the
+    recording's signals; the sample rate is the manifest machine's.
 
     Returns:
         (recordings, machine, manifest) with recordings in manifest order.
@@ -615,10 +608,9 @@ def load_catalog(directory: str | Path) -> tuple[list[Recording], MachineSpec, d
     shape = (len(CHANNEL_NAMES), machine.n_samples)
     recordings = []
     for entry, label, op in entries:
-        signals = _read_signals(directory / entry["file"], shape)
         recordings.append(
             Recording(
-                channels=dict(zip(CHANNEL_NAMES, signals)),
+                signals=_read_signals(directory / entry["file"], shape),
                 sample_rate=machine.sample_rate,
                 label=label,
                 operating_point=op,
@@ -675,7 +667,10 @@ def _require_keys(path: Path, blob: dict, keys: tuple[str, ...], prefix: str) ->
 
 
 def _read_signals(path: Path, shape: tuple[int, int]) -> np.ndarray:
-    """One recording file: a float64 array of ``shape``, read without unpickling."""
+    """One recording file: a float64 array of ``shape``, read without unpickling.
+
+    A Fortran-order file is returned in C order, as Recording.signals is.
+    """
     if not path.is_file():
         raise IoError(f"recording file not found: {path}")
     with open(path, "rb") as fh:
@@ -692,4 +687,4 @@ def _read_signals(path: Path, shape: tuple[int, int]) -> np.ndarray:
         )
     if not np.isfinite(signals).all():
         raise NonFinite(f"{path}: holds NaN or infinite samples")
-    return signals
+    return np.ascontiguousarray(signals)

@@ -897,6 +897,44 @@ class TestErrors:
         assert line.endswith(" is sampled at 4000.0 Hz, the model at 2000.0 Hz")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["diagnose", "evaluate"])
+    def test_checkpoint_feature_dim_disagreeing_with_pipeline(
+        self, workspace, tmp_path, capsys, command
+    ):
+        # 20 columns were trained, but the pipeline now yields the 12 time-domain ones.
+        root, _ = workspace
+        header, body = read_checkpoint(root / "run" / "model.bin")
+        assert header["feature_dim"] == 20
+        header["pipeline"]["include_frequency"] = False
+        checkpoint = tmp_path / "model.bin"
+        write_checkpoint(checkpoint, header, body)
+        config = write_config(
+            tmp_path,
+            extra={
+                "paths.dataset_dir": str(root / "data"),
+                "paths.out_dir": str(tmp_path / "run"),
+                "paths.checkpoint": str(checkpoint),
+            },
+        )
+        recording = sorted((root / "requests").glob("healthy-*.csv"))[0]
+        extra = [recording] if command == "diagnose" else []
+        assert run([command, "--config", config, *extra, "--quiet"]) == 1
+        assert self.only_error_line(capsys) == (
+            "[gnnase] InvalidConfigValue: checkpoint feature_dim is 20, "
+            "but its pipeline yields 12 features"
+        )
+        assert not (tmp_path / "run").exists()
+
+    def test_diagnose_recording_shorter_than_a_window(self, workspace, tmp_path, capsys):
+        # The 1000-sample request against a checkpoint whose windows hold 2048 samples.
+        def edit(header, body):
+            header["pipeline"]["window"]["window_len"] = 2048
+
+        assert self.diagnose_edited_checkpoint(workspace, tmp_path, edit) == 1
+        assert self.only_error_line(capsys) == (
+            "[features] RecordingTooShort: recording length 1000 is below window_len 2048"
+        )
+
     @pytest.mark.parametrize("value", ["no", None, 0])
     def test_checkpoint_non_boolean_include_frequency(self, workspace, tmp_path, capsys, value):
         def edit(header, body):

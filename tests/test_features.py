@@ -251,7 +251,7 @@ class TestBatchInvariance:
             rec = preprocess.filter_recording(rec, preprocess.FilterSpec())
         spec = features.WindowSpec()
         rows = features.extract_windows(rec, spec)
-        signals = rec.stacked()
+        signals = rec.signals
         assert len(rows) == spec.count(rec.n_samples)
         for w, row in enumerate(rows):
             start = w * spec.hop

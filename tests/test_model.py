@@ -20,7 +20,7 @@ from gnnase.errors import (
     SampleRateMismatch,
     ShapeMismatch,
 )
-from gnnase.features import Standardizer, WindowFeatures, WindowSpec
+from gnnase.features import Standardizer, WindowFeatures, WindowSpec, feature_names
 from gnnase.graphs import NodeTargets, SignalGraph, build_graph
 from gnnase.numerics import derive_seed, finite_diff_grad, make_rng
 from gnnase.preprocess import FilterSpec
@@ -762,11 +762,13 @@ def random_state(feature_dim: int, config: model.ModelConfig, seed: int) -> mode
 class TestCheckpointLayout:
     @settings(max_examples=25, deadline=None)
     @given(
-        feature_dim=st.integers(1, 40),
+        include_frequency=st.booleans(),
         widths=st.tuples(*[st.integers(1, 24)] * 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_round_trip_any_widths_bit_for_bit(self, feature_dim, widths, seed):
+    def test_round_trip_any_widths_bit_for_bit(self, include_frequency, widths, seed):
+        # A checkpoint's feature_dim is the column count of its pipeline: 20 or 12.
+        feature_dim = len(feature_names(include_frequency=include_frequency))
         embed, gcn1, gcn2, sev = widths
         config = model.ModelConfig(embed_dim=embed, gcn1_dim=gcn1, gcn2_dim=gcn2, severity_dim=sev)
         state = random_state(feature_dim, config, seed)
@@ -774,7 +776,9 @@ class TestCheckpointLayout:
         standardizer = Standardizer(
             mean=rng.normal(size=feature_dim), std=rng.uniform(0.5, 2.0, feature_dim)
         )
-        pipeline = model.PipelineSettings(sample_rate=float(rng.integers(500, 50_000)))
+        pipeline = model.PipelineSettings(
+            include_frequency=include_frequency, sample_rate=float(rng.integers(500, 50_000))
+        )
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.bin"
             model.save_checkpoint(path, state, config, pipeline, standardizer)
@@ -786,6 +790,26 @@ class TestCheckpointLayout:
             assert loaded.params[name].tobytes() == tensor.tobytes()
         assert loaded_std.mean.tobytes() == standardizer.mean.tobytes()
         assert loaded_std.std.tobytes() == standardizer.std.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(feature_dim=st.integers(1, 40), include_frequency=st.booleans())
+    def test_feature_dim_other_than_the_pipeline_columns_refused(
+        self, feature_dim, include_frequency
+    ):
+        columns = len(feature_names(include_frequency=include_frequency))
+        config = model.ModelConfig(**SMALL)
+        state = random_state(feature_dim, config, seed=feature_dim)
+        standardizer = Standardizer(mean=np.zeros(feature_dim), std=np.ones(feature_dim))
+        pipeline = model.PipelineSettings(include_frequency=include_frequency)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.bin"
+            model.save_checkpoint(path, state, config, pipeline, standardizer)
+            if feature_dim == columns:
+                assert model.load_checkpoint(path)[0].feature_dim == columns
+            else:
+                expected = f"feature_dim is {feature_dim}, but its pipeline yields {columns} features"
+                with pytest.raises(InvalidConfigValue, match=expected):
+                    model.load_checkpoint(path)
 
     def test_file_is_a_json_line_then_the_raw_tensors(self, tmp_path):
         config = model.ModelConfig(**SMALL)

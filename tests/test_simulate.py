@@ -277,7 +277,7 @@ class TestCatalog:
         manifest_path = simulate.save_catalog(recs, tmp_path, machine, 3, 30.0)
         manifest = json.loads(manifest_path.read_text())
         target = tmp_path / f"{recs[1].name}.npy"
-        signals = recs[1].stacked()
+        signals = recs[1].signals
         error = ParseError
         if edit == "truncated":
             np.save(target, signals[:, :-10])
@@ -356,6 +356,45 @@ class TestCatalog:
         (tmp_path / "manifest.json").write_bytes(content)
         with pytest.raises(ParseError, match=re.escape(f"manifest.json: {problem}")):
             simulate.load_catalog(tmp_path)
+
+
+class TestRecordingSignals:
+    @staticmethod
+    def recording(source, tmp_path):
+        machine = simulate.MachineSpec(sample_rate=1000.0, duration=0.25)
+        fault = simulate.FaultSpec(kind="bearing", severity=0.5, site="inner")
+        rec = simulate.synthesize(machine, simulate.OperatingPoint.from_load(10.0), fault, 30.0, 5)
+        if source == "csv":
+            simulate.write_recording_csv(tmp_path / "rec.csv", rec)
+            rec = simulate.read_recording_csv(tmp_path / "rec.csv")
+        elif source.startswith("catalog"):
+            simulate.save_catalog([rec], tmp_path, machine, 5, 30.0)
+            if source == "catalog_fortran":
+                np.save(tmp_path / f"{rec.name}.npy", np.asfortranarray(rec.signals))
+            rec = simulate.load_catalog(tmp_path)[0][0]
+        return rec
+
+    @pytest.mark.parametrize("source", ["synthesized", "csv", "catalog", "catalog_fortran"])
+    def test_channels_are_the_rows_of_signals(self, tmp_path, source):
+        rec = self.recording(source, tmp_path)
+        signals = rec.signals
+        assert signals.dtype == np.float64 and signals.flags.c_contiguous
+        assert signals.shape == (len(simulate.CHANNEL_NAMES), 250) and rec.n_samples == 250
+        assert list(rec.channels) == list(simulate.CHANNEL_NAMES)
+        for row, name in zip(signals, simulate.CHANNEL_NAMES):
+            assert rec.channels[name].tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_csv_with_non_finite_sample_refused_when_read(self, tmp_path, value):
+        rec = self.recording("synthesized", tmp_path)
+        path = tmp_path / "bad.csv"
+        simulate.write_recording_csv(path, rec)
+        lines = path.read_text().split("\n")
+        t, phase_a, phase_b, rest = lines[40].split(",", 3)
+        lines[40] = f"{t},{phase_a},{value},{rest}"
+        path.write_text("\n".join(lines))
+        with pytest.raises(NonFinite, match="^recording bad holds NaN or infinite samples$"):
+            simulate.read_recording_csv(path)
 
 
 class Tripwire:
