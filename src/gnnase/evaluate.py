@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EmptyCatalog, InvalidRatios, UndefinedMetric
-from .features import Standardizer, extract_windows, feature_names
+from .features import Standardizer, extract_windows
 from .graphs import KIND_TO_CLASS, TYPE_CLASSES, SignalGraph, build_graph
 from .model import ABLATIONS, ModelConfig, ModelState, PipelineSettings, forward, train
 from .numerics import derive_seed, make_rng
@@ -69,13 +69,12 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class TypeConfusion:
-    """Per-class count matrix, rows true class, columns predicted class."""
+    """Count matrix over TYPE_CLASSES, rows true class, columns predicted class."""
 
-    classes: tuple[str, ...]
     counts: np.ndarray
 
     def __post_init__(self):
-        k = len(self.classes)
+        k = len(TYPE_CLASSES)
         if self.counts.shape != (k, k):
             raise ValueError(f"count matrix must be {k}x{k}")
         if np.min(self.counts) < 0:
@@ -93,7 +92,7 @@ class TypeConfusion:
         counts = np.zeros((len(TYPE_CLASSES), len(TYPE_CLASSES)), dtype=int)
         for t, p in zip(truth, predicted):
             counts[index[t], index[p]] += 1
-        return cls(classes=TYPE_CLASSES, counts=counts)
+        return cls(counts=counts)
 
     def one_vs_rest(self, cls_index: int) -> ConfusionMatrix:
         tp = int(self.counts[cls_index, cls_index])
@@ -133,7 +132,7 @@ def f1_score(cm: ConfusionMatrix) -> float:
 def _macro(metric, tc: TypeConfusion) -> float:
     """Average a one-vs-rest metric over the classes where it is defined."""
     values = []
-    for i in range(len(tc.classes)):
+    for i in range(len(TYPE_CLASSES)):
         try:
             values.append(metric(tc.one_vs_rest(i)))
         except UndefinedMetric:
@@ -157,18 +156,6 @@ def macro_f1(tc: TypeConfusion) -> float:
     if p + r == 0:
         raise UndefinedMetric("macro F1 undefined when precision + recall is zero")
     return 2 * p * r / (p + r)
-
-
-def metrics(cm) -> tuple[float, float, float]:
-    """(accuracy, recall, F1); macro one-vs-rest for the multi-class task.
-
-    Raises:
-        UndefinedMetric: On any zero denominator. Callers assembling
-            reports must leave such cells absent, never substitute 0.
-    """
-    if isinstance(cm, TypeConfusion):
-        return accuracy(cm), macro_recall(cm), macro_f1(cm)
-    return accuracy(cm), recall(cm), f1_score(cm)
 
 
 def try_metric(metric, cm) -> float | None:
@@ -195,7 +182,7 @@ def split(
     """
     if not catalog:
         raise EmptyCatalog("cannot split an empty catalog")
-    if len(ratios) != 3 or min(ratios) < 0:
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios):
         raise InvalidRatios(f"ratios must be three non-negative values, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise InvalidRatios(f"ratios must sum to 1, got {sum(ratios)}")
@@ -238,27 +225,24 @@ def featurize_splits(
         One list of graphs per split, in order, then the standardizer.
     """
 
-    def windows_for(recordings):
-        lists = []
-        for rec in recordings:
-            filtered = rec if pipeline.filter is None else filter_recording(rec, pipeline.filter)
-            lists.append(extract_windows(filtered, pipeline.window, pipeline.include_frequency))
-        return lists
+    def window_matrix(rec):
+        filtered = rec if pipeline.filter is None else filter_recording(rec, pipeline.filter)
+        windows = extract_windows(filtered, pipeline.window, pipeline.include_frequency)
+        return np.stack([w.x for w in windows])
 
-    per_split = [windows_for(recs) for recs in splits]
-    standardizer = Standardizer.fit([w.x for ws in per_split[0] for w in ws])
-    names = feature_names(include_frequency=pipeline.include_frequency)
-
-    def to_graphs(window_lists, recordings):
-        graphs = []
-        for rec, windows in zip(recordings, window_lists):
-            scaled = [replace(w, x=standardizer.transform(w.x)) for w in windows]
-            graphs.append(
-                build_graph(scaled, rec.label, k=pipeline.neighbors, feature_names=names)
+    per_split = [[window_matrix(rec) for rec in recs] for recs in splits]
+    training = per_split[0]
+    standardizer = Standardizer.fit(np.concatenate(training) if training else [])
+    graphs = [
+        [
+            build_graph(
+                standardizer.transform(x), rec.label, k=pipeline.neighbors, source=rec.name
             )
-        return graphs
-
-    return (*(to_graphs(ws, recs) for ws, recs in zip(per_split, splits)), standardizer)
+            for rec, x in zip(recs, matrices)
+        ]
+        for recs, matrices in zip(splits, per_split)
+    ]
+    return (*graphs, standardizer)
 
 
 @dataclass(frozen=True)
@@ -284,7 +268,7 @@ def predict(
         target = g.node_targets[0]
         predictions.append(
             GraphPrediction(
-                source=g.source or "",
+                source=g.source,
                 true_class=target.fault_type,
                 true_severity=target.severity,
                 anomaly_probability=diagnosis.anomaly_probability,
@@ -538,10 +522,3 @@ def run_ablation(
         predictions=predictions,
     )
     return report
-
-
-def mean_family_f1(report: EvalReport, variant: str) -> float | None:
-    """Mean anomaly F1 across the three fault families."""
-    values = [report.value(variant, family, "f1") for family in TYPE_CLASSES]
-    present = [v for v in values if v is not None]
-    return float(np.mean(present)) if present else None

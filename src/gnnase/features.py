@@ -59,10 +59,9 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class WindowFeatures:
-    """Feature vector of one window plus its provenance."""
+    """Feature vector of one window: one row of the recording's feature matrix."""
 
     x: np.ndarray
-    source: str
 
 
 def feature_names(include_frequency: bool = True) -> list[str]:
@@ -140,7 +139,7 @@ def extract_windows(
     spec.count(recording.n_samples)  # raises RecordingTooShort
     windows = sliding_window_view(recording.signals, spec.window_len, axis=-1)[:, :: spec.hop]
     matrix = window_features(windows, recording.sample_rate, include_frequency)
-    return [WindowFeatures(x=row, source=recording.name) for row in matrix]
+    return [WindowFeatures(x=row) for row in matrix]
 
 
 @dataclass
@@ -157,12 +156,21 @@ class Standardizer:
     STD_FLOOR = 1e-12
 
     @classmethod
-    def fit(cls, vectors: list[np.ndarray]) -> "Standardizer":
-        if not vectors:
+    def fit(cls, rows) -> "Standardizer":
+        """Per-column mean and floored deviation of the training rows.
+
+        Args:
+            rows: The training split's (windows, features) matrix, or a
+                list of feature vectors.
+
+        Raises:
+            EmptyWindow: If there are no rows.
+        """
+        if len(rows) == 0:
             raise EmptyWindow("cannot fit a standardizer on zero vectors")
-        stacked = np.stack(vectors)
-        std = np.std(stacked, axis=0)
-        return cls(mean=np.mean(stacked, axis=0), std=np.maximum(std, cls.STD_FLOOR))
+        rows = np.asarray(rows, dtype=float)
+        std = np.std(rows, axis=0)
+        return cls(mean=np.mean(rows, axis=0), std=np.maximum(std, cls.STD_FLOOR))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.std

@@ -1,6 +1,7 @@
 """Window graphs: one graph per recording.
 
-Nodes are windows carrying their feature vectors. Edges combine a temporal
+Nodes are windows; the graph holds their features as one (windows,
+features) matrix, row i for window i. Edges combine a temporal
 chain over consecutive windows with k-nearest-neighbor links among the
 rest, so both adjacency in time and similarity in feature space are
 represented. Raw cosine similarity c in [-1, 1] is mapped affinely to a
@@ -12,12 +13,11 @@ Edges are stored once with i < j; the graph is undirected throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidConfigValue, ShapeMismatch, TooFewWindows, ZeroVector
-from .features import WindowFeatures
 from .simulate import FaultSpec
 
 TYPE_CLASSES = ("eccentricity", "bar_breakage", "bearing")
@@ -55,15 +55,16 @@ class NodeTargets:
 class SignalGraph:
     """Undirected weighted graph over one recording's windows.
 
-    edges holds unique (i, j, weight) triples with i < j; weights always
-    lie in [0, 1]. Self-loops are never stored here; the model adds them
-    during aggregation.
+    nodes is the (windows, features) float64 feature matrix, one row per
+    window in temporal order. edges holds unique (i, j, weight) triples
+    with i < j; weights always lie in [0, 1]. Self-loops are never stored
+    here; the model adds them during aggregation. source names the
+    recording.
     """
 
-    nodes: list[WindowFeatures]
+    nodes: np.ndarray
     edges: list[tuple[int, int, float]]
     node_targets: list[NodeTargets]
-    feature_names: list[str] = field(default_factory=list)
     source: str = ""
 
     @property
@@ -71,7 +72,7 @@ class SignalGraph:
         return len(self.nodes)
 
     def feature_matrix(self) -> np.ndarray:
-        return np.stack([node.x for node in self.nodes])
+        return self.nodes
 
 
 def fault_targets(label: FaultSpec) -> NodeTargets:
@@ -107,10 +108,10 @@ def similarity_weight(cos):
 
 
 def build_graph(
-    windows: list[WindowFeatures],
+    x,
     label: FaultSpec,
     k: int = DEFAULT_NEIGHBORS,
-    feature_names: list[str] | None = None,
+    source: str = "",
 ) -> SignalGraph:
     """Connect windows by a temporal chain plus k-nearest-neighbor links.
 
@@ -120,32 +121,32 @@ def build_graph(
     within 2 + 2k. All weights are (1 + cosine) / 2.
 
     Args:
-        windows: At least two featurized windows in temporal order.
+        x: Feature matrix (windows, features), rows in temporal order;
+            the graph keeps it as its nodes.
         label: Recording label; broadcast to all nodes as targets.
         k: Neighbor proposals per node, >= 0.
-        feature_names: Optional column names stored on the graph.
+        source: Name of the recording the windows come from.
 
     Returns:
         Connected undirected SignalGraph.
 
     Raises:
-        TooFewWindows: If fewer than two windows are given.
-        ShapeMismatch: If the windows' feature vectors differ in shape.
+        ShapeMismatch: If x is not a 2-D matrix.
+        TooFewWindows: If x has fewer than two rows.
         ZeroVector: If a window's feature vector is (near) zero.
     """
-    n = len(windows)
+    X = np.asarray(x, dtype=float)
+    if X.ndim != 2:
+        raise ShapeMismatch(f"node features must be a 2-D matrix, got shape {X.shape}")
+    n = len(X)
     if n < 2:
         raise TooFewWindows(f"a graph needs at least 2 windows, got {n}")
     if k < 0:
         raise InvalidConfigValue(f"k must be >= 0, got {k}")
 
-    shapes = {np.shape(w.x) for w in windows}
-    if len(shapes) != 1:
-        raise ShapeMismatch(f"windows differ in feature shape: {sorted(shapes)}")
     # Every pair i < j, PAIR_BLOCK pairs per call so that the gathered rows
     # stay small on long recordings; each pair's cosine depends on its own
     # rows alone, so the bits match a per-row evaluation.
-    X = np.stack([w.x for w in windows])
     iu, ju = np.triu_indices(n, 1)
     pair_cos = np.empty(len(iu))
     for start in range(0, len(iu), PAIR_BLOCK):
@@ -170,10 +171,4 @@ def build_graph(
     ii, jj = np.nonzero(np.triu(linked))
     edges = list(zip(ii.tolist(), jj.tolist(), similarity_weight(cos[ii, jj])))
     targets = fault_targets(label)
-    return SignalGraph(
-        nodes=list(windows),
-        edges=edges,
-        node_targets=[targets] * n,
-        feature_names=list(feature_names or []),
-        source=windows[0].source,
-    )
+    return SignalGraph(nodes=X, edges=edges, node_targets=[targets] * n, source=source)

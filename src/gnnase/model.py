@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,7 @@ from .errors import (
     SampleRateMismatch,
     ShapeMismatch,
 )
-from .features import FREQ_FEATURES, Standardizer, WindowSpec, extract_windows, feature_names
+from .features import Standardizer, WindowSpec, extract_windows, feature_names
 from .graphs import TYPE_CLASSES, SignalGraph, build_graph, row_cosines, similarity_weight
 from .numerics import derive_seed, make_rng
 from .preprocess import FilterSpec, filter_recording
@@ -279,7 +279,7 @@ def _graph_stack(dataset: list[SignalGraph]) -> _Stack:
     Raises:
         NegativeWeight: If any edge weight is negative.
     """
-    X, sizes = _padded([g.feature_matrix() for g in dataset])
+    X, sizes = _padded([g.nodes for g in dataset])
     src, dst, w = _edge_rows(X.shape[1], [_edge_arrays(g.edges) for g in dataset])
     return _Stack(X, _adjacency(sizes, X.shape[1], src, dst, w), sizes)
 
@@ -687,17 +687,16 @@ def reweight_edges(
 
 
 def _check_feature_dims(dataset: list[SignalGraph], config: ModelConfig) -> int:
-    dims = {g.nodes[0].x.shape[0] for g in dataset}
+    dims = {g.nodes.shape[1] for g in dataset}
     if len(dims) != 1:
         raise FeatureDimMismatch(f"graphs carry mixed feature dims: {sorted(dims)}")
-    if config.ablation == "no_freq_features":
-        for g in dataset:
-            bad = [n for n in g.feature_names if any(m in n for m in FREQ_FEATURES)]
-            if bad:
-                raise FeatureDimMismatch(
-                    f"no_freq_features expects time-domain features only, found {bad[:2]}"
-                )
-    return dims.pop()
+    dim = dims.pop()
+    time_only = len(feature_names(include_frequency=False))
+    if config.ablation == "no_freq_features" and dim != time_only:
+        raise FeatureDimMismatch(
+            f"no_freq_features expects the {time_only} time-domain features, got {dim} columns"
+        )
+    return dim
 
 
 def _anomaly_hits(stack: _Stack, truth: np.ndarray, params: dict, config: ModelConfig) -> int:
@@ -753,8 +752,8 @@ def train(
 
     Raises:
         EmptyDataset: If the training split is empty.
-        FeatureDimMismatch: If graphs disagree on dimension or carry
-            frequency features under the no_freq_features ablation.
+        FeatureDimMismatch: If graphs disagree on dimension, or under the
+            no_freq_features ablation are not the time-domain features' width.
         NegativeWeight: If any edge weight is negative.
     """
     if not dataset:
@@ -763,7 +762,7 @@ def train(
     state = init_state(dim, config)
     params = state.params
     edges = [_edge_arrays(g.edges) for g in dataset]
-    X, sizes = _padded([g.feature_matrix() for g in dataset])
+    X, sizes = _padded([g.nodes for g in dataset])
     n = X.shape[1]
     src, dst, weights = _edge_rows(n, edges)
     first_edge = np.concatenate([[0], np.cumsum([len(e[2]) for e in edges])])
@@ -841,12 +840,9 @@ def recording_to_graph(
     rec = recording
     if pipeline.filter is not None:
         rec = filter_recording(rec, pipeline.filter)
-    windows = [
-        replace(w, x=standardizer.transform(w.x))
-        for w in extract_windows(rec, pipeline.window, pipeline.include_frequency)
-    ]
-    names = feature_names(include_frequency=pipeline.include_frequency)
-    return build_graph(windows, rec.label, k=pipeline.neighbors, feature_names=names)
+    windows = extract_windows(rec, pipeline.window, pipeline.include_frequency)
+    x = standardizer.transform(np.stack([w.x for w in windows]))
+    return build_graph(x, rec.label, k=pipeline.neighbors, source=rec.name)
 
 
 def diagnose(

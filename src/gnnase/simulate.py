@@ -608,16 +608,20 @@ def load_catalog(directory: str | Path) -> tuple[list[Recording], MachineSpec, d
     shape = (len(CHANNEL_NAMES), machine.n_samples)
     recordings = []
     for entry, label, op in entries:
-        recordings.append(
-            Recording(
-                signals=_read_signals(directory / entry["file"], shape),
+        path = directory / entry["file"]
+        signals = _read_signals(path, shape)
+        try:
+            rec = Recording(
+                signals=signals,
                 sample_rate=machine.sample_rate,
                 label=label,
                 operating_point=op,
                 seed=entry["seed"],
                 name=entry["name"],
             )
-        )
+        except NonFinite:
+            raise NonFinite(f"{path}: holds NaN or infinite samples") from None
+        recordings.append(rec)
     return recordings, machine, manifest
 
 
@@ -685,6 +689,4 @@ def _read_signals(path: Path, shape: tuple[int, int]) -> np.ndarray:
             f"{path}: shape {signals.shape}, but the manifest records {shape[0]} channels "
             f"of {shape[1]} samples"
         )
-    if not np.isfinite(signals).all():
-        raise NonFinite(f"{path}: holds NaN or infinite samples")
     return np.ascontiguousarray(signals)

@@ -1,5 +1,7 @@
 """Tests for splitting, metrics, and the ablation harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +9,8 @@ from hypothesis import given, strategies as st
 from gnnase import evaluate as ev
 from gnnase.config import config_from_json
 from gnnase.errors import EmptyCatalog, InvalidRatios, UndefinedMetric
-from gnnase.features import WindowSpec
-from gnnase.model import ModelConfig, PipelineSettings, init_state, train
+from gnnase.features import WindowSpec, feature_names
+from gnnase.model import ModelConfig, PipelineSettings, init_state, recording_to_graph, train
 from gnnase.preprocess import FilterSpec
 from gnnase.simulate import (
     FaultSpec,
@@ -70,14 +72,14 @@ class TestConfusionMatrix:
 class TestBinaryMetrics:
     def test_hand_computed_triple(self):
         cm = ev.ConfusionMatrix(tp=8, tn=5, fp=2, fn=1)
-        acc, rec, f1 = ev.metrics(cm)
+        acc, rec, f1 = ev.accuracy(cm), ev.recall(cm), ev.f1_score(cm)
         assert round(acc, 4) == 0.8125
         assert round(rec, 4) == 0.8889
         assert round(f1, 4) == 0.8421
 
     def test_perfect_classifier(self):
         cm = ev.ConfusionMatrix(tp=7, tn=3, fp=0, fn=0)
-        assert ev.metrics(cm) == (1.0, 1.0, 1.0)
+        assert (ev.accuracy(cm), ev.recall(cm), ev.f1_score(cm)) == (1.0, 1.0, 1.0)
 
     def test_f1_equals_common_value_when_precision_is_recall(self):
         cm = ev.ConfusionMatrix(tp=3, tn=5, fp=1, fn=1)
@@ -159,7 +161,7 @@ class TestTypeMetrics:
 
     def test_metrics_dispatches_macro(self):
         tc = self.make_tc()
-        acc, rec, f1 = ev.metrics(tc)
+        acc, rec, f1 = ev.accuracy(tc), ev.macro_recall(tc), ev.macro_f1(tc)
         assert acc == pytest.approx(0.8)
         assert rec == pytest.approx(ev.macro_recall(tc))
         assert f1 == pytest.approx(ev.macro_f1(tc))
@@ -212,6 +214,8 @@ class TestSplit:
             ev.split(catalog, ratios=(0.5, 0.2, 0.2), seed=0)
         with pytest.raises(InvalidRatios):
             ev.split(catalog, ratios=(1.2, -0.1, -0.1), seed=0)
+        with pytest.raises(InvalidRatios):
+            ev.split(catalog, ratios=(float("nan"), 0.5, 0.5), seed=0)
 
 
 class TestFeaturizeSplits:
@@ -222,7 +226,8 @@ class TestFeaturizeSplits:
         assert len(train_g) == len(splits[0])
         assert len(val_g) == len(splits[1])
         assert len(test_g) == len(splits[2])
-        assert train_g[0].nodes[0].x.shape == (20,)
+        assert train_g[0].nodes.shape == (6, 20)
+        assert train_g[0].nodes.dtype == np.float64
         assert standardizer.mean.shape == (20,)
 
     def test_time_only_dims(self):
@@ -234,9 +239,14 @@ class TestFeaturizeSplits:
             neighbors=2,
             include_frequency=False,
         )
-        train_g, _, _, standardizer = ev.featurize_splits(splits, pipeline)
-        assert train_g[0].nodes[0].x.shape == (12,)
-        assert all("f_dom" not in n and "h_spec" not in n for n in train_g[0].feature_names)
+        train_g, _, _, _ = ev.featurize_splits(splits, pipeline)
+        full_g, _, _, _ = ev.featurize_splits(splits, SMALL_PIPELINE)
+        assert train_g[0].nodes.shape == (6, 12)
+        # The time-only columns are the full matrix's time-domain columns.
+        full_names = feature_names()
+        columns = [full_names.index(n) for n in feature_names(include_frequency=False)]
+        for g, full in zip(train_g, full_g):
+            assert np.allclose(g.nodes, full.nodes[:, columns], rtol=0, atol=1e-12)
 
     def test_standardizer_fitted_on_train_only(self):
         catalog = small_catalog()
@@ -247,6 +257,31 @@ class TestFeaturizeSplits:
         # Dims with spread standardize to unit variance; constant dims stay 0.
         spread = stacked.std(axis=0)
         assert np.all((np.abs(spread - 1) < 1e-6) | (spread < 1e-6))
+
+    @pytest.mark.parametrize("include_frequency", [True, False])
+    def test_graphs_match_single_recording_path(self, include_frequency):
+        # featurize_splits and recording_to_graph each featurize on their own;
+        # with the fitted standardizer both must build the same graph bit for bit.
+        pipeline = replace(
+            SMALL_PIPELINE,
+            include_frequency=include_frequency,
+            sample_rate=SMALL_MACHINE.sample_rate,
+        )
+        splits = ev.split(small_catalog(), ratios=(0.6, 0.2, 0.2), seed=2)
+        *split_graphs, standardizer = ev.featurize_splits(splits, pipeline)
+        for recordings, graphs in zip(splits, split_graphs, strict=True):
+            for rec, g in zip(recordings, graphs, strict=True):
+                single = recording_to_graph(rec, pipeline, standardizer)
+                x, y = g.feature_matrix(), single.feature_matrix()
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+                assert [(i, j, w.hex()) for i, j, w in g.edges] == [
+                    (i, j, w.hex()) for i, j, w in single.edges
+                ]
+                assert [tuple(map(type, e)) for e in g.edges] == [
+                    tuple(map(type, e)) for e in single.edges
+                ]
+                assert g.node_targets == single.node_targets
+                assert g.source == single.source == rec.name
 
 
 def make_predictions():
@@ -441,10 +476,6 @@ class TestRunAblation:
         ]
         with pytest.raises(EmptyCatalog):
             ev.run_ablation(catalog, ModelConfig(), SMALL_PIPELINE)
-
-    def test_mean_family_f1_helper(self, report):
-        value = ev.mean_family_f1(report, "GNN-ASE")
-        assert value is None or 0.0 <= value <= 100.0
 
 
 class TestPredict:

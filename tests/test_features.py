@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnnase import features, preprocess, simulate
-from gnnase.errors import InvalidConfigValue, NoSpectralContent, RecordingTooShort
+from gnnase.errors import EmptyWindow, InvalidConfigValue, NoSpectralContent, RecordingTooShort
 from gnnase.numerics import make_rng
 
 
@@ -268,6 +268,18 @@ class TestStandardizer:
         transformed = np.stack([std.transform(v) for v in vectors])
         assert np.mean(transformed, axis=0) == pytest.approx(np.zeros(4), abs=1e-9)
         assert np.std(transformed, axis=0) == pytest.approx(np.ones(4), abs=1e-9)
+
+    def test_matrix_and_vector_list_fit_alike(self):
+        rows = make_rng(9).normal(loc=2.0, scale=0.5, size=(30, 5))
+        from_matrix = features.Standardizer.fit(rows)
+        from_list = features.Standardizer.fit(list(rows))
+        assert from_matrix.mean.tobytes() == from_list.mean.tobytes()
+        assert from_matrix.std.tobytes() == from_list.std.tobytes()
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 5))], ids=["list", "matrix"])
+    def test_no_rows_refused(self, rows):
+        with pytest.raises(EmptyWindow):
+            features.Standardizer.fit(rows)
 
     def test_constant_dimension_does_not_blow_up(self):
         vectors = [np.array([1.0, float(i)]) for i in range(10)]

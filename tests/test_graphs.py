@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 
 from gnnase import graphs
 from gnnase.errors import ShapeMismatch, TooFewWindows, ZeroVector
-from gnnase.features import WindowFeatures
 from gnnase.numerics import make_rng
 from gnnase.simulate import FaultSpec
-
-
-def windows_from(matrix, source="rec"):
-    return [WindowFeatures(x=np.asarray(row, dtype=float), source=source) for row in matrix]
 
 
 FAULT = FaultSpec(kind="broken_bars", bar_count=2, severity=2.0 / 3.0)
@@ -65,12 +60,13 @@ class TestCosineSimilarity:
         _, undefined = graphs.row_cosines([[0.0, 0.0]], [[1.0, 0.0]])
         assert undefined.tolist() == [True]
         with pytest.raises(ZeroVector):
-            graphs.build_graph(windows_from([[0.0, 0.0], [1.0, 0.0]]), HEALTHY, k=0)
+            graphs.build_graph(np.array([[0.0, 0.0], [1.0, 0.0]]), HEALTHY, k=0)
 
     def test_shape_mismatch(self):
-        w = windows_from([[1.0]]) + windows_from([[1.0, 2.0]])
-        with pytest.raises(ShapeMismatch):
-            graphs.build_graph(w, HEALTHY, k=0)
+        # Node features are one (windows, features) matrix; any other rank is refused.
+        for shape in [(3,), (3, 2, 2)]:
+            with pytest.raises(ShapeMismatch):
+                graphs.build_graph(np.ones(shape), HEALTHY, k=0)
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
@@ -84,8 +80,15 @@ class TestCosineSimilarity:
 
 
 class TestBuildGraph:
+    def test_nodes_are_the_feature_matrix(self):
+        x = make_rng(12).normal(size=(5, 3))
+        g = graphs.build_graph(x, FAULT, k=1, source="brb-2-load0")
+        assert g.nodes is x and g.feature_matrix() is x
+        assert g.n_nodes == 5
+        assert g.source == "brb-2-load0"
+
     def test_minimal_two_node_graph(self):
-        w = windows_from([[1.0, 0.0], [1.0, 1.0]])
+        w = np.array([[1.0, 0.0], [1.0, 1.0]])
         g = graphs.build_graph(w, HEALTHY, k=0)
         assert len(g.edges) == 1
         i, j, weight = g.edges[0]
@@ -99,7 +102,7 @@ class TestBuildGraph:
     @settings(max_examples=200, deadline=None)
     def test_edges_match_per_node_reference(self, rows, k):
         X = TIE_ROWS[rows]
-        edges = graphs.build_graph(windows_from(X), HEALTHY, k=k).edges
+        edges = graphs.build_graph(X, HEALTHY, k=k).edges
         expected = reference_edges(X, k)
         assert [(i, j, w.hex()) for i, j, w in edges] == [(i, j, w.hex()) for i, j, w in expected]
         assert [tuple(map(type, e)) for e in edges] == [tuple(map(type, e)) for e in expected]
@@ -108,20 +111,20 @@ class TestBuildGraph:
         X = make_rng(11).normal(size=(12, 5)) + 0.1
         expected = reference_edges(X, 3)
         monkeypatch.setattr(graphs, "PAIR_BLOCK", 7)
-        edges = graphs.build_graph(windows_from(X), HEALTHY, k=3).edges
+        edges = graphs.build_graph(X, HEALTHY, k=3).edges
         assert [(i, j, w.hex()) for i, j, w in edges] == [(i, j, w.hex()) for i, j, w in expected]
         X[11] = 0.0  # none of its pairs falls in the first block
         with pytest.raises(ZeroVector):
-            graphs.build_graph(windows_from(X), HEALTHY, k=3)
+            graphs.build_graph(X, HEALTHY, k=3)
 
     def test_identical_vectors_give_unit_weights(self):
-        w = windows_from([[1.0, 2.0]] * 5)
+        w = np.array([[1.0, 2.0]] * 5)
         g = graphs.build_graph(w, HEALTHY, k=2)
         assert all(weight == pytest.approx(1.0) for _, _, weight in g.edges)
 
     def test_degree_bounds_chain_plus_knn(self):
         rng = make_rng(3)
-        w = windows_from(rng.normal(size=(6, 4)) + 2.0)
+        w = rng.normal(size=(6, 4)) + 2.0
         g = graphs.build_graph(w, FAULT, k=2)
         deg = np.bincount([end for i, j, _ in g.edges for end in (i, j)], minlength=g.n_nodes)
         assert np.all(deg >= 1)
@@ -129,14 +132,14 @@ class TestBuildGraph:
 
     def test_chain_only_when_k_zero(self):
         rng = make_rng(4)
-        w = windows_from(rng.normal(size=(7, 3)) + 2.0)
+        w = rng.normal(size=(7, 3)) + 2.0
         g = graphs.build_graph(w, HEALTHY, k=0)
         assert len(g.edges) == 6
         assert [(i, j) for i, j, _ in g.edges] == [(i, i + 1) for i in range(6)]
 
     def test_single_window_rejected(self):
         with pytest.raises(TooFewWindows):
-            graphs.build_graph(windows_from([[1.0, 2.0]]), HEALTHY, k=0)
+            graphs.build_graph(np.array([[1.0, 2.0]]), HEALTHY, k=0)
 
     def test_weights_are_edge_weight_exactly(self):
         # One mapping: every stored weight is bit for bit the weight of its
@@ -144,31 +147,26 @@ class TestBuildGraph:
         for seed in range(20):
             rng = make_rng(100 + seed)
             n = int(rng.integers(2, 40))
-            w = windows_from(rng.normal(size=(n, 20)) + 0.3)
+            w = rng.normal(size=(n, 20)) + 0.3
             g = graphs.build_graph(w, FAULT, k=int(rng.integers(0, 5)))
             for i, j, weight in g.edges:
-                a, b = w[i].x[None], w[j].x[None]
+                a, b = w[i][None], w[j][None]
                 assert weight == graphs.similarity_weight(graphs.row_cosines(a, b)[0])[0]
 
     def test_zero_window_rejected(self):
         with pytest.raises(ZeroVector):
-            graphs.build_graph(windows_from([[1.0, 2.0], [0.0, 0.0], [2.0, 1.0]]), HEALTHY, k=1)
-
-    def test_mixed_feature_shapes_rejected(self):
-        w = windows_from([[1.0, 2.0], [2.0, 1.0]]) + windows_from([[1.0, 2.0, 3.0]])
-        with pytest.raises(ShapeMismatch):
-            graphs.build_graph(w, HEALTHY, k=1)
+            graphs.build_graph(np.array([[1.0, 2.0], [0.0, 0.0], [2.0, 1.0]]), HEALTHY, k=1)
 
     def test_weights_in_unit_interval(self):
         rng = make_rng(5)
-        w = windows_from(rng.normal(size=(10, 6)))
+        w = rng.normal(size=(10, 6))
         g = graphs.build_graph(w, FAULT, k=3)
         for _, _, weight in g.edges:
             assert 0.0 <= weight <= 1.0
 
     def test_edges_canonical_and_unique(self):
         rng = make_rng(6)
-        w = windows_from(rng.normal(size=(8, 4)))
+        w = rng.normal(size=(8, 4))
         g = graphs.build_graph(w, FAULT, k=3)
         keys = [(i, j) for i, j, _ in g.edges]
         assert all(i < j for i, j in keys)
@@ -176,7 +174,7 @@ class TestBuildGraph:
 
     def test_connected_via_chain(self):
         rng = make_rng(7)
-        w = windows_from(rng.normal(size=(9, 4)))
+        w = rng.normal(size=(9, 4))
         g = graphs.build_graph(w, HEALTHY, k=1)
         # Union-find over the edge list.
         parent = list(range(g.n_nodes))
@@ -192,7 +190,7 @@ class TestBuildGraph:
         assert len({find(i) for i in range(g.n_nodes)}) == 1
 
     def test_targets_broadcast_from_label(self):
-        w = windows_from(make_rng(8).normal(size=(4, 3)))
+        w = make_rng(8).normal(size=(4, 3))
         g = graphs.build_graph(w, FAULT, k=1)
         assert len(g.node_targets) == 4
         for t in g.node_targets:
@@ -206,8 +204,8 @@ class TestBuildGraph:
         rng = make_rng(9)
         base = rng.normal(size=(6, 5))
         perm = [3, 0, 4, 1, 2]
-        g1 = graphs.build_graph(windows_from(base), HEALTHY, k=2)
-        g2 = graphs.build_graph(windows_from(base[:, perm]), HEALTHY, k=2)
+        g1 = graphs.build_graph(base, HEALTHY, k=2)
+        g2 = graphs.build_graph(base[:, perm], HEALTHY, k=2)
         assert [(i, j) for i, j, _ in g1.edges] == [(i, j) for i, j, _ in g2.edges]
         for (_, _, w1), (_, _, w2) in zip(g1.edges, g2.edges):
             assert w1 == pytest.approx(w2, abs=1e-12)
@@ -215,7 +213,7 @@ class TestBuildGraph:
     def test_global_scale_leaves_weights_unchanged(self):
         rng = make_rng(10)
         base = rng.normal(size=(6, 5))
-        g1 = graphs.build_graph(windows_from(base), HEALTHY, k=2)
-        g2 = graphs.build_graph(windows_from(base * 7.5), HEALTHY, k=2)
+        g1 = graphs.build_graph(base, HEALTHY, k=2)
+        g2 = graphs.build_graph(base * 7.5, HEALTHY, k=2)
         for (_, _, w1), (_, _, w2) in zip(g1.edges, g2.edges):
             assert w1 == pytest.approx(w2, abs=1e-12)

@@ -20,7 +20,7 @@ from gnnase.errors import (
     SampleRateMismatch,
     ShapeMismatch,
 )
-from gnnase.features import Standardizer, WindowFeatures, WindowSpec, feature_names
+from gnnase.features import Standardizer, WindowSpec, feature_names
 from gnnase.graphs import NodeTargets, SignalGraph, build_graph
 from gnnase.numerics import derive_seed, finite_diff_grad, make_rng
 from gnnase.preprocess import FilterSpec
@@ -35,10 +35,8 @@ SMALL = dict(embed_dim=16, gcn1_dim=8, gcn2_dim=8, severity_dim=4)
 
 def random_graph(n=6, d=20, seed=0, label=ECC, k=2):
     rng = make_rng(seed)
-    windows = [
-        WindowFeatures(x=rng.normal(size=d) + 0.5, source=f"g{seed}") for _ in range(n)
-    ]
-    return build_graph(windows, label, k=k)
+    x = rng.normal(size=(n, d)) + 0.5
+    return build_graph(x, label, k=k, source=f"g{seed}")
 
 
 def mixed_targets_graph(n=6, d=20, seed=0):
@@ -69,7 +67,7 @@ def dense_gcn_oracle(h, graph, W):
 class TestGcnLayer:
     def test_isolated_node_identity(self):
         g = SignalGraph(
-            nodes=[WindowFeatures(x=np.array([1.0, 2.0]), source="g")],
+            nodes=np.array([[1.0, 2.0]]),
             edges=[],
             node_targets=[NodeTargets(0, 0.0, None)],
         )
@@ -206,7 +204,7 @@ class TestForward:
         perm = [3, 5, 0, 1, 4, 2]
         inv = np.argsort(perm)
         permuted = SignalGraph(
-            nodes=[g.nodes[p] for p in perm],
+            nodes=g.nodes[perm],
             edges=[
                 (min(inv[i], inv[j]), max(inv[i], inv[j]), w) for i, j, w in g.edges
             ],
@@ -522,12 +520,12 @@ class TestTrain:
             assert np.array_equal(d_full.node_type, d_abl.node_type)
 
     def test_freq_features_guard(self):
-        dataset = tiny_dataset(4)
-        for g in dataset:
-            g.feature_names = [f"ch_{k}" for k in ("peak", "rms", "variance", "f_dom", "h_spec")] * 4
-        config = model.ModelConfig(ablation="no_freq_features", **SMALL)
+        # The ablation takes the 12 time-domain columns only; 20 columns carry frequency features.
+        config = model.ModelConfig(ablation="no_freq_features", epochs=1, **SMALL)
         with pytest.raises(FeatureDimMismatch):
-            model.train(dataset, config)
+            model.train(tiny_dataset(4, d=20), config)
+        state, _ = model.train(tiny_dataset(4, d=12), config)
+        assert state.params["W_embed"].shape[0] == 12
 
     def test_mixed_dims_rejected(self):
         dataset = tiny_dataset(2, d=20) + tiny_dataset(2, d=12)
@@ -652,7 +650,7 @@ class TestBatchedEngine:
 
 def reference_train(dataset, config, val_dataset=None):
     """Per-graph SGD: one loss_and_grads call per graph, reweight_edges per graph."""
-    state = model.init_state(dataset[0].nodes[0].x.shape[0], config)
+    state = model.init_state(dataset[0].nodes.shape[1], config)
     graphs = list(dataset)
     log = []
     for epoch in range(config.epochs):
@@ -706,7 +704,7 @@ class TestCheckpoint:
     @staticmethod
     def featurization(dataset):
         """The pipeline and a standardizer fitted on ``dataset``, as a checkpoint needs them."""
-        return model.PipelineSettings(), Standardizer.fit([n.x for g in dataset for n in g.nodes])
+        return model.PipelineSettings(), Standardizer.fit(np.concatenate([g.nodes for g in dataset]))
 
     def test_round_trip_bit_identical(self, tmp_path):
         config = model.ModelConfig(epochs=2, seed=8, **SMALL)
