@@ -56,8 +56,8 @@ def _ensure_parent(path: Path):
 def _out_dir(config: RunConfig) -> Path:
     """The output directory, whose parent must exist.
 
-    Commands create it only once their inputs have loaded, so a command that
-    fails on a missing input leaves no directory behind.
+    Commands create it only once their inputs have loaded, train and ablate
+    only once they succeed, so a missing input leaves no directory behind.
     """
     out = Path(config.out_dir)
     _ensure_parent(out)
@@ -115,12 +115,11 @@ def cmd_train(args) -> int:
     config = load_config(args.config, _overrides(args))
     out = _out_dir(config)
     checkpoint_path = _checkpoint_path(config)
-    # A checkpoint in out_dir itself is written after out_dir is created.
+    # out_dir itself is created only once training succeeds.
     if checkpoint_path.parent.absolute() != out.absolute():
         _ensure_parent(checkpoint_path)
 
     recordings, machine, _ = _load_dataset(config)
-    out.mkdir(exist_ok=True)
     train_recs, val_recs, _ = split(recordings, config.ratios, seed=config.split_seed())
     # The checkpoint pins the rate the dataset was sampled at, not the config's.
     pipeline = replace(
@@ -131,6 +130,7 @@ def cmd_train(args) -> int:
     _say(args, f"training on {len(train_g)} graphs, validating on {len(val_g)}")
 
     state, log = train(train_g, config.model, val_dataset=val_g)
+    out.mkdir(exist_ok=True)
     save_checkpoint(checkpoint_path, state, config.model, pipeline, standardizer)
 
     log_lines = ["epoch,train_loss,val_accuracy"]
@@ -202,7 +202,6 @@ def cmd_ablate(args) -> int:
     config = load_config(args.config, _overrides(args))
     out = _out_dir(config)
     recordings, _, _ = _load_dataset(config)
-    out.mkdir(exist_ok=True)
 
     report = run_ablation(
         recordings,
@@ -211,6 +210,7 @@ def cmd_ablate(args) -> int:
         ratios=config.ratios,
         split_seed=config.split_seed(),
     )
+    out.mkdir(exist_ok=True)
 
     diffs = {
         VARIANT_NAMES[ablation]: {"model.ablation": ablation}

@@ -227,8 +227,7 @@ def featurize_splits(
 
     def window_matrix(rec):
         filtered = rec if pipeline.filter is None else filter_recording(rec, pipeline.filter)
-        windows = extract_windows(filtered, pipeline.window, pipeline.include_frequency)
-        return np.stack([w.x for w in windows])
+        return extract_windows(filtered, pipeline.window, pipeline.include_frequency).x
 
     per_split = [[window_matrix(rec) for rec in recs] for recs in splits]
     training = per_split[0]

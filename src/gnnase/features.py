@@ -57,13 +57,6 @@ class WindowSpec:
         return (n_samples - self.window_len) // self.hop + 1
 
 
-@dataclass(frozen=True)
-class WindowFeatures:
-    """Feature vector of one window: one row of the recording's feature matrix."""
-
-    x: np.ndarray
-
-
 def feature_names(include_frequency: bool = True) -> list[str]:
     """Column names in extraction order: channel-major, feature-minor."""
     kinds = ALL_FEATURES if include_frequency else TIME_FEATURES
@@ -117,7 +110,7 @@ def extract_windows(
     recording: Recording,
     spec: WindowSpec,
     include_frequency: bool = True,
-) -> list[WindowFeatures]:
+) -> np.recarray:
     """Slice a recording into windows and featurize each one.
 
     Windows start at multiples of the hop; trailing samples that do not
@@ -131,7 +124,8 @@ def extract_windows(
             are kept, giving d = 3 * channel_count.
 
     Returns:
-        One WindowFeatures per window, in temporal order.
+        One record per window in temporal order: ``[w].x`` is window w's
+        features, ``.x`` the (windows, features) matrix itself, not a copy.
 
     Raises:
         RecordingTooShort: If the recording is shorter than one window.
@@ -139,7 +133,7 @@ def extract_windows(
     spec.count(recording.n_samples)  # raises RecordingTooShort
     windows = sliding_window_view(recording.signals, spec.window_len, axis=-1)[:, :: spec.hop]
     matrix = window_features(windows, recording.sample_rate, include_frequency)
-    return [WindowFeatures(x=row) for row in matrix]
+    return matrix.view([("x", matrix.dtype, matrix.shape[1:])])[:, 0].view(np.recarray)
 
 
 @dataclass

@@ -8,7 +8,8 @@ represented. Raw cosine similarity c in [-1, 1] is mapped affinely to a
 weight w = (1 + c) / 2 in [0, 1]; clamping at zero would erase ordering
 among dissimilar pairs.
 
-Edges are stored once with i < j; the graph is undirected throughout.
+Edges are stored once with i < j, as one EDGE_DTYPE record array with
+fields i, j and w; the graph is undirected throughout.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ KIND_TO_CLASS = {
 
 DEFAULT_NEIGHBORS = 4
 
+EDGE_DTYPE = np.dtype([("i", np.intp), ("j", np.intp), ("w", np.float64)])
+
 # Window pairs per row_cosines call in build_graph. One call covers all
 # pairs of up to 90 windows, about 9 s at the default sample rate and window.
 PAIR_BLOCK = 4096
@@ -51,21 +54,36 @@ class NodeTargets:
             raise InvalidConfigValue(f"unknown fault type {self.fault_type!r}")
 
 
+def edge_array(edges) -> np.ndarray:
+    """(i, j, w) triples as a 1-D EDGE_DTYPE array; an EDGE_DTYPE array is returned as is.
+
+    Raises ShapeMismatch if edges is not 1-D once converted, as a list of
+    lists is: numpy would copy each number into a whole record.
+    """
+    edges = np.asarray(edges, dtype=EDGE_DTYPE)
+    if edges.ndim != 1:
+        raise ShapeMismatch(f"edges must be a sequence of (i, j, w) triples, got shape {edges.shape}")
+    return edges
+
+
 @dataclass
 class SignalGraph:
     """Undirected weighted graph over one recording's windows.
 
     nodes is the (windows, features) float64 feature matrix, one row per
-    window in temporal order. edges holds unique (i, j, weight) triples
-    with i < j; weights always lie in [0, 1]. Self-loops are never stored
-    here; the model adds them during aggregation. source names the
-    recording.
+    window in temporal order. edges is a 1-D EDGE_DTYPE array (edge_array
+    converts triples) of unique edges with i < j and weights in [0, 1].
+    Self-loops are never stored here; the model adds them during
+    aggregation. source names the recording.
     """
 
     nodes: np.ndarray
-    edges: list[tuple[int, int, float]]
+    edges: np.ndarray
     node_targets: list[NodeTargets]
     source: str = ""
+
+    def __post_init__(self):
+        self.edges = edge_array(self.edges)
 
     @property
     def n_nodes(self) -> int:
@@ -128,7 +146,7 @@ def build_graph(
         source: Name of the recording the windows come from.
 
     Returns:
-        Connected undirected SignalGraph.
+        Connected undirected SignalGraph, its edges in row-major (i, j) order.
 
     Raises:
         ShapeMismatch: If x is not a 2-D matrix.
@@ -169,6 +187,7 @@ def build_graph(
     linked[rows, top[picked]] = linked[top[picked], rows] = True
 
     ii, jj = np.nonzero(np.triu(linked))
-    edges = list(zip(ii.tolist(), jj.tolist(), similarity_weight(cos[ii, jj])))
+    edges = np.empty(len(ii), dtype=EDGE_DTYPE)
+    edges["i"], edges["j"], edges["w"] = ii, jj, similarity_weight(cos[ii, jj])
     targets = fault_targets(label)
     return SignalGraph(nodes=X, edges=edges, node_targets=[targets] * n, source=source)

@@ -57,7 +57,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .features import Standardizer, WindowSpec, extract_windows, feature_names
-from .graphs import TYPE_CLASSES, SignalGraph, build_graph, row_cosines, similarity_weight
+from .graphs import TYPE_CLASSES, SignalGraph, build_graph, edge_array, row_cosines, similarity_weight
 from .numerics import derive_seed, make_rng
 from .preprocess import FilterSpec, filter_recording
 from .simulate import MachineSpec, Recording
@@ -221,14 +221,6 @@ class _Stack:
         ).ravel()
 
 
-def _edge_arrays(edges: list[tuple[int, int, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoint and weight arrays of a list of (i, j, weight) triples."""
-    if not edges:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    i, j, w = zip(*edges)
-    return np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(w, dtype=float)
-
-
 def _padded(features: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrices zero-padded to the largest node count: (X (G, n, d), sizes)."""
     sizes = np.array([len(x) for x in features])
@@ -238,13 +230,11 @@ def _padded(features: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return X, sizes
 
 
-def _edge_rows(
-    n: int, edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every graph's edges with endpoints as stack rows g*n + i: (src, dst, weights)."""
-    src, dst, w = (np.concatenate(parts) for parts in zip(*edges))
-    shift = np.repeat(np.arange(len(edges)) * n, [len(e[2]) for e in edges])
-    return src + shift, dst + shift, w
+def _edge_rows(n: int, edges: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every graph's EDGE_DTYPE array, endpoints as stack rows g*n + i: (src, dst, weights)."""
+    e = np.concatenate(edges)
+    shift = np.repeat(np.arange(len(edges)) * n, [len(g) for g in edges])
+    return e["i"] + shift, e["j"] + shift, e["w"]
 
 
 def _adjacency(sizes: np.ndarray, n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -280,7 +270,7 @@ def _graph_stack(dataset: list[SignalGraph]) -> _Stack:
         NegativeWeight: If any edge weight is negative.
     """
     X, sizes = _padded([g.nodes for g in dataset])
-    src, dst, w = _edge_rows(X.shape[1], [_edge_arrays(g.edges) for g in dataset])
+    src, dst, w = _edge_rows(X.shape[1], [g.edges for g in dataset])
     return _Stack(X, _adjacency(sizes, X.shape[1], src, dst, w), sizes)
 
 
@@ -310,8 +300,8 @@ def gcn_layer(h: np.ndarray, graph: SignalGraph, W: np.ndarray, activation: str 
         raise ShapeMismatch(f"W rows {W.shape[0]} do not match feature dim {h.shape[1]}")
     if activation not in ("relu", "identity"):
         raise InvalidConfigValue(f"unknown activation {activation!r}")
-    n = graph.n_nodes
-    out = _aggregate(_adjacency(np.array([n]), n, *_edge_arrays(graph.edges)), h) @ W
+    n, e = graph.n_nodes, graph.edges
+    out = _aggregate(_adjacency(np.array([n]), n, e["i"], e["j"], e["w"]), h) @ W
     return np.maximum(out, 0.0) if activation == "relu" else out
 
 
@@ -666,24 +656,23 @@ def _reweighted(
     return np.clip((1.0 - beta) * weights + beta * f, 0.0, 1.0)
 
 
-def reweight_edges(
-    edges: list[tuple[int, int, float]],
-    h1: np.ndarray,
-    beta: float,
-) -> list[tuple[int, int, float]]:
+def reweight_edges(edges, h1: np.ndarray, beta: float) -> list[tuple[int, int, float]]:
     """Blend edge weights toward hidden-vector similarity.
 
     new = (1 - beta) * old + beta * f with f = (1 + cosine(h1_i, h1_j)) / 2,
     clamped into [0, 1]. A node whose hidden vector is (near) zero has no
-    usable direction; its pairs fall back to the neutral f = 0.5.
+    usable direction; its pairs fall back to the neutral f = 0.5. Takes
+    (i, j, w) triples or an EDGE_DTYPE array; returns new triples in order.
 
     Raises:
         InvalidConfigValue: If beta lies outside [0, 1].
+        ShapeMismatch: If edges is not a sequence of triples.
     """
     if not 0.0 <= beta <= 1.0:
         raise InvalidConfigValue(f"beta must lie in [0, 1], got {beta}")
-    i, j, w = _edge_arrays(edges)
-    return list(zip(i.tolist(), j.tolist(), _reweighted(i, j, w, h1, beta).tolist()))
+    out = edge_array(edges).copy()
+    out["w"] = _reweighted(out["i"], out["j"], out["w"], h1, beta)
+    return out.tolist()
 
 
 def _check_feature_dims(dataset: list[SignalGraph], config: ModelConfig) -> int:
@@ -761,11 +750,10 @@ def train(
     dim = _check_feature_dims(dataset, config)
     state = init_state(dim, config)
     params = state.params
-    edges = [_edge_arrays(g.edges) for g in dataset]
     X, sizes = _padded([g.nodes for g in dataset])
     n = X.shape[1]
-    src, dst, weights = _edge_rows(n, edges)
-    first_edge = np.concatenate([[0], np.cumsum([len(e[2]) for e in edges])])
+    src, dst, weights = _edge_rows(n, [g.edges for g in dataset])
+    first_edge = np.concatenate([[0], np.cumsum([len(g.edges) for g in dataset])])
     targets = _stack_targets([_targets(g) for g in dataset], n)
     if val_dataset:
         val_stack, val_truth = _graph_stack(val_dataset), _anomaly_truth(val_dataset)
@@ -840,8 +828,7 @@ def recording_to_graph(
     rec = recording
     if pipeline.filter is not None:
         rec = filter_recording(rec, pipeline.filter)
-    windows = extract_windows(rec, pipeline.window, pipeline.include_frequency)
-    x = standardizer.transform(np.stack([w.x for w in windows]))
+    x = standardizer.transform(extract_windows(rec, pipeline.window, pipeline.include_frequency).x)
     return build_graph(x, rec.label, k=pipeline.neighbors, source=rec.name)
 
 

@@ -594,6 +594,23 @@ class TestErrors:
         assert self.only_error_line(capsys) == (
             "[features] EmptyWindow: cannot fit a standardizer on zero vectors"
         )
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_training_split_in_ablate_is_one_line(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        config = write_config(
+            tmp_path,
+            extra={
+                "split": {"ratios": [0, 0.5, 0.5]},
+                "paths.dataset_dir": str(root / "data"),
+                "paths.out_dir": str(tmp_path / "run"),
+            },
+        )
+        assert run(["ablate", "--config", config, "--quiet"]) == 1
+        assert self.only_error_line(capsys) == (
+            "[features] EmptyWindow: cannot fit a standardizer on zero vectors"
+        )
+        assert not (tmp_path / "run").exists()
 
     def test_null_model_seed(self, workspace, tmp_path, capsys):
         root, _ = workspace

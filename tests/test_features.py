@@ -192,6 +192,20 @@ class TestExtractWindows:
         assert full[0].x.shape == (20,)
         assert time_only[0].x.shape == (12,)
 
+    def test_matrix_is_window_features_output_not_a_copy(self, monkeypatch):
+        rec = self.recording()
+        spec = features.WindowSpec(window_len=256, hop=128)
+        returned = []
+        original = features.window_features
+        monkeypatch.setattr(
+            features, "window_features", lambda *a: returned.append(original(*a)) or returned[-1]
+        )
+        out = features.extract_windows(rec, spec)
+        assert out.x.dtype == np.float64 and out.x.shape == (6, 20)
+        assert out.x.ctypes.data == returned[0].ctypes.data and out.x.strides == returned[0].strides
+        returned[0][5, 19] = -1.0  # a write to the matrix shows through
+        assert out.x[5, 19] == -1.0 and out[5].x[19] == -1.0
+
     def test_window_below_sixteen_samples_rejected(self):
         with pytest.raises(InvalidConfigValue):
             features.WindowSpec(window_len=15, hop=8)

@@ -79,6 +79,32 @@ class TestCosineSimilarity:
         assert np.array_equal(c[:6], graphs.row_cosines(y, x)[0])
 
 
+class TestSignalGraph:
+    def test_triples_become_an_edge_array(self):
+        g = graphs.SignalGraph(nodes=np.zeros((3, 2)), edges=[(0, 1, 0.25), (1, 2, 1.0)], node_targets=[])
+        assert g.edges.dtype == graphs.EDGE_DTYPE and g.edges.shape == (2,)
+        assert g.edges["i"].tolist() == [0, 1] and g.edges["j"].tolist() == [1, 2]
+        assert g.edges["w"].tolist() == [0.25, 1.0]
+
+    def test_edge_array_kept_without_a_copy(self):
+        edges = np.array([(0, 1, 0.5)], dtype=graphs.EDGE_DTYPE)
+        assert graphs.SignalGraph(nodes=np.zeros((2, 2)), edges=edges, node_targets=[]).edges is edges
+
+    @pytest.mark.parametrize(
+        "edges, shape",
+        [
+            ([[0, 1, 0.5]], "(1, 3)"),  # lists, not tuples: each number would fill a record
+            (np.zeros((2, 3)), "(2, 3)"),
+            (0.5, "()"),
+        ],
+        ids=["list_of_lists", "matrix", "scalar"],
+    )
+    def test_edges_that_are_not_triples_rejected(self, edges, shape):
+        with pytest.raises(ShapeMismatch) as info:
+            graphs.SignalGraph(nodes=np.zeros((2, 2)), edges=edges, node_targets=[])
+        assert str(info.value) == f"edges must be a sequence of (i, j, w) triples, got shape {shape}"
+
+
 class TestBuildGraph:
     def test_nodes_are_the_feature_matrix(self):
         x = make_rng(12).normal(size=(5, 3))
@@ -105,7 +131,7 @@ class TestBuildGraph:
         edges = graphs.build_graph(X, HEALTHY, k=k).edges
         expected = reference_edges(X, k)
         assert [(i, j, w.hex()) for i, j, w in edges] == [(i, j, w.hex()) for i, j, w in expected]
-        assert [tuple(map(type, e)) for e in edges] == [tuple(map(type, e)) for e in expected]
+        assert edges.dtype == graphs.EDGE_DTYPE
 
     def test_pair_blocks_give_the_same_edges(self, monkeypatch):
         X = make_rng(11).normal(size=(12, 5)) + 0.1

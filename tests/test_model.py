@@ -77,8 +77,7 @@ class TestGcnLayer:
 
     def test_two_nodes_hand_evaluated(self):
         # Each node: d = 2, aggregate = 1/2 * h_self + 1/2 * h_other = 1.
-        g = random_graph(n=2, d=3, k=0)
-        g.edges = [(0, 1, 1.0)]
+        g = replace(random_graph(n=2, d=3, k=0), edges=[(0, 1, 1.0)])
         h = np.ones((2, 3))
         out = model.gcn_layer(h, g, np.eye(3), activation="identity")
         assert out == pytest.approx(np.ones((2, 3)))
@@ -108,8 +107,7 @@ class TestGcnLayer:
             model.gcn_layer(np.ones((3, 2)), g, np.eye(3))
 
     def test_negative_weight_rejected(self):
-        g = random_graph(n=3, d=2, seed=3, k=0)
-        g.edges = [(0, 1, -0.2), (1, 2, 0.5)]
+        g = replace(random_graph(n=3, d=2, seed=3, k=0), edges=[(0, 1, -0.2), (1, 2, 0.5)])
         with pytest.raises(NegativeWeight):
             model.gcn_layer(np.ones((3, 2)), g, np.eye(2))
 
@@ -420,6 +418,17 @@ class TestReweighting:
         with pytest.raises(InvalidConfigValue):
             model.reweight_edges([(0, 1, 0.4)], np.ones((2, 2)), 1.5)
 
+    def test_edge_array_input_gives_triples_and_is_not_mutated(self):
+        g = random_graph(seed=15)
+        before = g.edges.copy()
+        h1 = make_rng(15).normal(size=(g.n_nodes, 8))
+        out = model.reweight_edges(g.edges, h1, 0.3)
+        assert out == model.reweight_edges(g.edges.tolist(), h1, 0.3)
+        assert all(tuple(map(type, e)) == (int, int, float) for e in out)
+        assert np.array_equal(g.edges, before)
+        with pytest.raises(ShapeMismatch, match=r"shape \(1, 3\)"):
+            model.reweight_edges([[0, 1, 0.4]], h1, 0.3)
+
 
 def tiny_dataset(n_graphs=8, d=20, seed=30):
     labels = [
@@ -472,9 +481,9 @@ class TestTrain:
     def test_does_not_mutate_input_graphs(self):
         config = model.ModelConfig(epochs=2, seed=4, **SMALL)
         dataset = tiny_dataset(4)
-        before = [list(g.edges) for g in dataset]
+        before = [g.edges.copy() for g in dataset]
         model.train(dataset, config)
-        assert [g.edges for g in dataset] == before
+        assert all(np.array_equal(g.edges, edges) for g, edges in zip(dataset, before))
 
     def test_reweighting_moves_edge_weights(self):
         # The two variants differ only in the reweighting after each epoch, so
@@ -626,7 +635,7 @@ class TestBatchedEngine:
         graphs = mixed_size_dataset()
         rng = make_rng(61)
         n = max(g.n_nodes for g in graphs)
-        src, dst, weights = model._edge_rows(n, [model._edge_arrays(g.edges) for g in graphs])
+        src, dst, weights = model._edge_rows(n, [g.edges for g in graphs])
         h1 = np.maximum(rng.normal(size=(len(graphs) * n, 8)), 0.0)
         h1[3] = 0.0
         together = model._reweighted(src, dst, weights, h1, 0.3)
